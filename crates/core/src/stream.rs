@@ -495,11 +495,13 @@ pub(crate) struct Inner {
     alerts_overflowed: u64,
     /// The write-ahead log, when attached: every delivery is appended here
     /// **before** it is applied, under this same lock, so append order is
-    /// exactly apply order.
+    /// exactly apply order. An epoch is logged as one group, all of it
+    /// before any of it is applied.
     wal: Option<WalWriter>,
-    /// Appends that failed at the IO layer. Monitoring must keep running on
-    /// a full disk; the gap is surfaced here (and in `last_wal_error`)
-    /// instead of panicking or poisoning ingest.
+    /// Appends (single records or epoch groups) that failed at the IO
+    /// layer. Monitoring must keep running on a full disk; the gap is
+    /// surfaced here (and in `last_wal_error`) instead of panicking or
+    /// poisoning ingest.
     wal_errors: u64,
     last_wal_error: Option<String>,
     /// The highest batch epoch sealed into this monitor's log
@@ -540,10 +542,29 @@ impl Inner {
     fn log_wal(&mut self, record: &WalRecord) {
         if let Some(wal) = self.wal.as_mut() {
             if let Err(e) = wal.append(record) {
-                self.wal_errors += 1;
-                self.last_wal_error = Some(e.to_string());
+                self.note_wal_error(e);
             }
         }
+    }
+
+    /// Appends a usage epoch — its records, then the `EpochSealed(epoch)`
+    /// marker — to the attached WAL as **one** group (no-op without one).
+    /// Called before any of the epoch is applied; a failed group counts one
+    /// error, exactly like a failed single append.
+    fn log_wal_epoch(&mut self, records: impl Iterator<Item = ServerUsageRecord>, epoch: u64) {
+        if let Some(wal) = self.wal.as_mut() {
+            let group = records
+                .map(WalRecord::Usage)
+                .chain(std::iter::once(WalRecord::EpochSealed(epoch)));
+            if let Err(e) = wal.append_all(group) {
+                self.note_wal_error(e);
+            }
+        }
+    }
+
+    fn note_wal_error(&mut self, e: WalError) {
+        self.wal_errors += 1;
+        self.last_wal_error = Some(e.to_string());
     }
 }
 
@@ -918,16 +939,18 @@ impl StreamMonitor {
         let mut inner = self.inner.lock();
         if let Some(wal) = inner.wal.as_mut() {
             if let Err(e) = wal.sync() {
-                inner.wal_errors += 1;
-                inner.last_wal_error = Some(e.to_string());
+                inner.note_wal_error(e);
             }
         }
     }
 
     /// WAL appends/syncs that failed at the IO layer since construction.
-    /// Monitoring keeps running through log failures (a full disk must not
-    /// stop detection); a non-zero count means the log has gaps and a
-    /// recovery from it would be correspondingly behind.
+    /// A record-at-a-time delivery that fails to log counts one; an epoch
+    /// ([`StreamMonitor::ingest_batch`]) is logged as one group, so a failed
+    /// epoch counts one however many records it carried. Monitoring keeps
+    /// running through log failures (a full disk must not stop detection);
+    /// a non-zero count means the log has gaps and a recovery from it would
+    /// be correspondingly behind.
     pub fn wal_errors(&self) -> u64 {
         self.inner.lock().wal_errors
     }
@@ -960,26 +983,27 @@ impl StreamMonitor {
     pub fn ingest(&self, rec: ServerUsageRecord) -> Vec<Alert> {
         let mut alerts = Vec::new();
         let mut inner = self.inner.lock();
-        self.ingest_one(&mut inner, rec, &mut alerts);
-        alerts
-    }
-
-    /// The per-record ingest step, shared verbatim by [`StreamMonitor::ingest`]
-    /// (one lock, one record) and [`StreamMonitor::ingest_batch`] (one lock,
-    /// many records) — which is what makes the batch path bit-identical to
-    /// record-at-a-time ingestion, `state_version` included.
-    fn ingest_one(&self, inner: &mut Inner, rec: ServerUsageRecord, alerts: &mut Vec<Alert>) {
-        let util = [
-            rec.util.cpu.fraction(),
-            rec.util.mem.fraction(),
-            rec.util.disk.fraction(),
-        ];
         // Logged before applied — and logged even when the record will be
         // rejected as a straggler, because replaying every *delivery*
         // (acceptance decisions depend only on prior deliveries) is what
         // makes recovery reproduce `stale_dropped` and `late_accepted`
         // exactly.
         inner.log_wal(&WalRecord::Usage(rec));
+        self.apply_usage(&mut inner, rec, &mut alerts);
+        alerts
+    }
+
+    /// The per-record apply step (no logging), shared verbatim by
+    /// [`StreamMonitor::ingest`] (one lock, one record) and
+    /// [`StreamMonitor::ingest_batch`] (one lock, many records) — which is
+    /// what makes the batch path bit-identical to record-at-a-time
+    /// ingestion, `state_version` included.
+    fn apply_usage(&self, inner: &mut Inner, rec: ServerUsageRecord, alerts: &mut Vec<Alert>) {
+        let util = [
+            rec.util.cpu.fraction(),
+            rec.util.mem.fraction(),
+            rec.util.disk.fraction(),
+        ];
         let state = inner
             .machines
             .entry(rec.machine)
@@ -1033,9 +1057,16 @@ impl StreamMonitor {
     }
 
     /// Ingests a sealed [`Batch`] under **one** lock acquisition, returning
-    /// every alert the epoch fired (in record order), then seals the
-    /// batch's epoch `version` into the attached WAL
-    /// ([`WalRecord::EpochSealed`]).
+    /// every alert the epoch fired (in record order), and seals the batch's
+    /// epoch `version` ([`WalRecord::EpochSealed`]).
+    ///
+    /// **Group commit:** under that same lock, the epoch's records and its
+    /// seal are first logged to the attached WAL as one group
+    /// ([`WalWriter::append_all`]: one buffer, one `write`), then applied —
+    /// "logged before applied" holds per epoch, and no reader can observe
+    /// the difference. The epoch is in the OS before this returns. A failed
+    /// group counts one [`StreamMonitor::wal_errors`]; the epoch is still
+    /// applied, as a failed single append's record is.
     ///
     /// **Equivalence contract** (enforced by the workspace
     /// `batched_ingest_equivalence` suite): the resulting monitor state is
@@ -1052,10 +1083,10 @@ impl StreamMonitor {
     pub fn ingest_batch(&self, batch: &Batch) -> Vec<Alert> {
         let mut alerts = Vec::new();
         let mut inner = self.inner.lock();
+        inner.log_wal_epoch(batch.records.iter().copied(), batch.version);
         for &rec in &batch.records {
-            self.ingest_one(&mut inner, rec, &mut alerts);
+            self.apply_usage(&mut inner, rec, &mut alerts);
         }
-        inner.log_wal(&WalRecord::EpochSealed(batch.version));
         inner.sealed_epoch = Some(batch.version);
         alerts
     }
@@ -1063,7 +1094,8 @@ impl StreamMonitor {
     /// The sharded fan-out step: ingests one shard's slice of an epoch
     /// under one lock, tagging every fired alert with the **batch-global**
     /// index of the record that fired it (so the facade can merge shard
-    /// outputs back into exact record order), then seals `epoch`.
+    /// outputs back into exact record order), then seals `epoch`. Logged
+    /// as one group before it is applied, like [`StreamMonitor::ingest_batch`].
     pub(crate) fn apply_batch_part(
         &self,
         part: &[(u32, ServerUsageRecord)],
@@ -1072,11 +1104,11 @@ impl StreamMonitor {
         let mut tagged = Vec::new();
         let mut alerts = Vec::new();
         let mut inner = self.inner.lock();
+        inner.log_wal_epoch(part.iter().map(|&(_, rec)| rec), epoch);
         for &(idx, rec) in part {
-            self.ingest_one(&mut inner, rec, &mut alerts);
+            self.apply_usage(&mut inner, rec, &mut alerts);
             tagged.extend(alerts.drain(..).map(|a| (idx, a)));
         }
-        inner.log_wal(&WalRecord::EpochSealed(epoch));
         inner.sealed_epoch = Some(epoch);
         tagged
     }

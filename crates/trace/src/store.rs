@@ -1573,6 +1573,7 @@ mod tests {
 
     #[test]
     fn dump_open_round_trips_bit_identically() {
+        let _guard = batchlens_fault::test_guard();
         let dir = temp_dir("roundtrip");
         let ds = sample_dataset();
         let report = dump_dataset(&dir, &ds).unwrap();
@@ -1591,6 +1592,7 @@ mod tests {
 
     #[test]
     fn buffered_open_equals_mapped_open() {
+        let _guard = batchlens_fault::test_guard();
         let dir = temp_dir("buffered");
         let ds = sample_dataset();
         dump_dataset(&dir, &ds).unwrap();
@@ -1602,6 +1604,7 @@ mod tests {
 
     #[test]
     fn small_segments_split_and_merge_back() {
+        let _guard = batchlens_fault::test_guard();
         let dir = temp_dir("split");
         let ds = sample_dataset();
         let report = dump_dataset_with(&dir, &ds, StoreConfig { segment_rows: 2 }).unwrap();
@@ -1616,6 +1619,7 @@ mod tests {
 
     #[test]
     fn open_is_identical_at_every_thread_count() {
+        let _guard = batchlens_fault::test_guard();
         let dir = temp_dir("threads");
         let ds = sample_dataset();
         dump_dataset_with(&dir, &ds, StoreConfig { segment_rows: 3 }).unwrap();
@@ -1628,6 +1632,7 @@ mod tests {
 
     #[test]
     fn column_scan_matches_record_walk() {
+        let _guard = batchlens_fault::test_guard();
         let dir = temp_dir("scan");
         let ds = sample_dataset();
         dump_dataset(&dir, &ds).unwrap();
@@ -1647,6 +1652,7 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_is_detected_with_its_region() {
+        let _guard = batchlens_fault::test_guard();
         let dir = temp_dir("bitflip");
         let mut w = SegmentWriter::create(&dir).unwrap();
         let rows: Vec<ServerUsageRecord> = (0..8)
@@ -1694,6 +1700,7 @@ mod tests {
 
     #[test]
     fn truncated_tail_is_a_typed_error() {
+        let _guard = batchlens_fault::test_guard();
         let dir = temp_dir("torn");
         let mut w = SegmentWriter::create(&dir).unwrap();
         w.write_machines(&[(MachineId::new(1), MachineInfo::default())])
@@ -1755,6 +1762,7 @@ mod tests {
 
     #[test]
     fn empty_directory_opens_as_empty_dataset() {
+        let _guard = batchlens_fault::test_guard();
         let dir = temp_dir("empty");
         let ds = TraceDataset::open(&dir).unwrap();
         assert_eq!(ds.machine_count(), 0);
@@ -1764,6 +1772,7 @@ mod tests {
 
     #[test]
     fn missing_directory_is_io_error() {
+        let _guard = batchlens_fault::test_guard();
         let dir = temp_dir("missing");
         fs::remove_dir_all(&dir).unwrap();
         assert!(matches!(
@@ -1774,6 +1783,7 @@ mod tests {
 
     #[test]
     fn wrong_family_scan_is_not_found() {
+        let _guard = batchlens_fault::test_guard();
         let dir = temp_dir("family");
         let mut w = SegmentWriter::create(&dir).unwrap();
         w.write_machines(&[(MachineId::new(1), MachineInfo::default())])

@@ -3,11 +3,13 @@
 //!
 //! Every mutation the live monitor accepts for processing (usage sample,
 //! instance open/close, machine event, alert drain) is encoded as one
-//! [`WalRecord`] and appended as one *frame* before it is applied. Because
-//! the monitor is deterministic — its out-of-order acceptance decisions
-//! depend only on the records delivered before — replaying the log
-//! reproduces the pre-crash state **bit-identically**: every counter, every
-//! window sample, every detector kernel state, every buffered alert.
+//! [`WalRecord`] and appended as one *frame* before it is applied (a whole
+//! ingestion epoch is appended as one group of frames, in one write — see
+//! [`WalWriter::append_all`]). Because the monitor is deterministic — its
+//! out-of-order acceptance decisions depend only on the records delivered
+//! before — replaying the log reproduces the pre-crash state
+//! **bit-identically**: every counter, every window sample, every detector
+//! kernel state, every buffered alert.
 //!
 //! ## Frame format
 //!
@@ -41,9 +43,11 @@
 //! [`WalStopReason`], and everything from the failure point on is reported
 //! as discarded ([`RecoveryReport::bytes_discarded`]).
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::{
@@ -333,29 +337,36 @@ impl WalRecord {
     /// Encodes the record payload (tag byte + fixed-width body).
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
+        self.encode_payload_into(&mut out);
+        out
+    }
+
+    /// Appends the record payload (tag byte + fixed-width body) to `out` —
+    /// the allocation-free form of [`WalRecord::encode_payload`].
+    fn encode_payload_into(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Usage(r) => {
                 out.push(TAG_USAGE);
-                put_i64(&mut out, r.time.seconds());
-                put_u32(&mut out, r.machine.raw());
-                put_f64(&mut out, r.util.cpu.fraction());
-                put_f64(&mut out, r.util.mem.fraction());
-                put_f64(&mut out, r.util.disk.fraction());
+                put_i64(out, r.time.seconds());
+                put_u32(out, r.machine.raw());
+                put_f64(out, r.util.cpu.fraction());
+                put_f64(out, r.util.mem.fraction());
+                put_f64(out, r.util.disk.fraction());
             }
             WalRecord::Instance(r) => {
                 out.push(TAG_INSTANCE);
-                put_i64(&mut out, r.start_time.seconds());
-                put_i64(&mut out, r.end_time.seconds());
-                put_u32(&mut out, r.job.raw());
-                put_u32(&mut out, r.task.raw());
-                put_u32(&mut out, r.seq);
-                put_u32(&mut out, r.total);
-                put_u32(&mut out, r.machine.raw());
+                put_i64(out, r.start_time.seconds());
+                put_i64(out, r.end_time.seconds());
+                put_u32(out, r.job.raw());
+                put_u32(out, r.task.raw());
+                put_u32(out, r.seq);
+                put_u32(out, r.total);
+                put_u32(out, r.machine.raw());
                 out.push(status_code(r.status));
-                put_f64(&mut out, r.cpu_avg);
-                put_f64(&mut out, r.cpu_max);
-                put_f64(&mut out, r.mem_avg);
-                put_f64(&mut out, r.mem_max);
+                put_f64(out, r.cpu_avg);
+                put_f64(out, r.cpu_max);
+                put_f64(out, r.mem_avg);
+                put_f64(out, r.mem_max);
             }
             WalRecord::InstanceStarted {
                 job,
@@ -365,35 +376,34 @@ impl WalRecord {
                 at,
             } => {
                 out.push(TAG_INSTANCE_STARTED);
-                put_u32(&mut out, job.raw());
-                put_u32(&mut out, task.raw());
-                put_u32(&mut out, *seq);
-                put_u32(&mut out, machine.raw());
-                put_i64(&mut out, at.seconds());
+                put_u32(out, job.raw());
+                put_u32(out, task.raw());
+                put_u32(out, *seq);
+                put_u32(out, machine.raw());
+                put_i64(out, at.seconds());
             }
             WalRecord::InstanceFinished { job, task, seq, at } => {
                 out.push(TAG_INSTANCE_FINISHED);
-                put_u32(&mut out, job.raw());
-                put_u32(&mut out, task.raw());
-                put_u32(&mut out, *seq);
-                put_i64(&mut out, at.seconds());
+                put_u32(out, job.raw());
+                put_u32(out, task.raw());
+                put_u32(out, *seq);
+                put_i64(out, at.seconds());
             }
             WalRecord::MachineEvent(r) => {
                 out.push(TAG_MACHINE_EVENT);
-                put_i64(&mut out, r.time.seconds());
-                put_u32(&mut out, r.machine.raw());
+                put_i64(out, r.time.seconds());
+                put_u32(out, r.machine.raw());
                 out.push(event_code(r.event));
-                put_f64(&mut out, r.capacity_cpu);
-                put_f64(&mut out, r.capacity_mem);
-                put_f64(&mut out, r.capacity_disk);
+                put_f64(out, r.capacity_cpu);
+                put_f64(out, r.capacity_mem);
+                put_f64(out, r.capacity_disk);
             }
             WalRecord::AlertsDrained => out.push(TAG_ALERTS_DRAINED),
             WalRecord::EpochSealed(version) => {
                 out.push(TAG_EPOCH_SEALED);
-                put_u64(&mut out, *version);
+                put_u64(out, *version);
             }
         }
-        out
     }
 
     /// Decodes a payload produced by [`WalRecord::encode_payload`].
@@ -453,19 +463,28 @@ impl WalRecord {
 
 /// Encodes one complete frame (`header ‖ payload`) for `seq`.
 pub fn encode_frame(seq: u64, record: &WalRecord) -> Vec<u8> {
-    let payload = record.encode_payload();
-    debug_assert!(payload.len() as u32 <= MAX_PAYLOAD_BYTES);
-    let len = payload.len() as u32;
-    let mut crc = Crc32::new();
-    crc.update(&len.to_le_bytes());
-    crc.update(&seq.to_le_bytes());
-    crc.update(&payload);
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&crc.finish().to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + 64);
+    encode_frame_into(seq, record, &mut out);
     out
+}
+
+/// Appends one complete frame (`header ‖ payload`) for `seq` to `out`,
+/// leaving any bytes already in `out` untouched — the one frame encoder:
+/// the writer encodes a whole group back to back into one reused buffer,
+/// and [`encode_frame`] and [`compact`] are built on it.
+pub fn encode_frame_into(seq: u64, record: &WalRecord, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
+    record.encode_payload_into(out);
+    let payload_len = out.len() - start - FRAME_HEADER_BYTES;
+    debug_assert!(payload_len as u32 <= MAX_PAYLOAD_BYTES);
+    let frame = &mut out[start..];
+    frame[0..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    frame[4..12].copy_from_slice(&seq.to_le_bytes());
+    let mut crc = Crc32::new();
+    crc.update(&frame[0..12]);
+    crc.update(&frame[FRAME_HEADER_BYTES..]);
+    frame[12..16].copy_from_slice(&crc.finish().to_le_bytes());
 }
 
 /// Why replay stopped where it did.
@@ -572,7 +591,8 @@ fn io_err(op: &'static str, path: &Path, source: io::Error) -> WalError {
 // IO seam
 // ---------------------------------------------------------------------------
 
-/// Failpoint site evaluated by [`StdWalIo`] before every frame write.
+/// Failpoint site evaluated by [`StdWalIo`] before every write (one per
+/// committed group of frames, see [`WalWriter::append_all`]).
 pub const FAILPOINT_APPEND: &str = "wal.append";
 /// Failpoint site evaluated by [`StdWalIo`] before every fsync.
 pub const FAILPOINT_SYNC: &str = "wal.sync";
@@ -584,12 +604,15 @@ pub const FAILPOINT_SYNC: &str = "wal.sync";
 ///
 /// # Contract
 ///
-/// * `write_frame` either writes **all** of `buf` and returns `Ok`, or
-///   returns `Err` having written any *prefix* of `buf` (a short write —
-///   the torn-tail shape a power failure leaves). The writer treats any
-///   `Err` as "this frame is not durable": the sequence number is not
-///   consumed and `segment_len` is not advanced, so the reader's framing
-///   validation is what quarantines whatever partial bytes made it to disk.
+/// * `write_frame` receives one or more complete frames, back to back. It
+///   either writes **all** of `buf` and returns `Ok`, or returns `Err`
+///   having written any *prefix* of `buf` (a short write — the torn-tail
+///   shape a power failure leaves). The writer treats any `Err` as "none of
+///   these frames is durable": their sequence numbers are not consumed and
+///   `segment_len` is not advanced, so the reader's framing validation is
+///   what quarantines whatever partial bytes made it to disk — the frames
+///   wholly inside the written prefix replay, the first torn one stops
+///   replay.
 /// * `sync_data` either makes previously written bytes durable and returns
 ///   `Ok`, or returns `Err` having synced nothing (a failed fsync — the
 ///   bytes remain in the page cache, durable against process crash but not
@@ -602,11 +625,12 @@ pub const FAILPOINT_SYNC: &str = "wal.sync";
 /// production writer. Disarmed, each evaluation is a single relaxed atomic
 /// load.
 pub trait WalIo: Send + fmt::Debug {
-    /// Writes one complete frame to `file` (see the seam contract).
+    /// Writes one or more complete frames to `file` in one call (see the
+    /// seam contract).
     ///
     /// # Errors
     ///
-    /// An `Err` means the frame is not durable; any prefix of `buf` may
+    /// An `Err` means the frames are not durable; any prefix of `buf` may
     /// have reached the file.
     fn write_frame(&mut self, file: &mut File, buf: &[u8]) -> io::Result<()>;
 
@@ -853,9 +877,10 @@ pub struct WalConfig {
     /// A segment always holds at least one record, so tiny limits are legal
     /// (tests use them to force multi-segment logs).
     pub segment_bytes: u64,
-    /// `fsync` after **every** append instead of only at rotation and
-    /// [`WalWriter::sync`]. Survives power loss per record, at a large
-    /// throughput cost.
+    /// `fsync` after **every** append call instead of only at rotation and
+    /// [`WalWriter::sync`]: once per [`WalWriter::append`] (one record) and
+    /// once per [`WalWriter::append_all`] group (one ingestion epoch).
+    /// Survives power loss per call, at a large throughput cost.
     pub sync_each_append: bool,
 }
 
@@ -872,17 +897,34 @@ impl Default for WalConfig {
 ///
 /// # Durability contract
 ///
-/// * [`WalWriter::append`] hands the complete frame to the operating system
-///   in a single `write` before returning: once `append` returns, a **process
-///   crash** (panic, kill, OOM) loses nothing — the frame is in the page
-///   cache regardless of what the process does next.
+/// * [`WalWriter::append_all`] commits a *group* of frames — the stream
+///   monitor's whole ingestion epoch, its usage records plus the epoch
+///   seal — encoded back to back into one reused buffer and handed to the
+///   operating system in **one** `write` before it returns (so the epoch is
+///   in the OS before `StreamMonitor::ingest_batch` returns). The group is
+///   split only where the next frame would overflow a non-empty segment:
+///   the prefix is written, the segment rotated, and the rest continues in
+///   the new segment. [`WalWriter::append`] is a group of one. Once the
+///   call returns `Ok`, a **process crash** (panic, kill, OOM) loses
+///   nothing — the frames are in the page cache regardless of what the
+///   process does next.
+/// * A **failed group** (the write returns an error without writing
+///   anything) consumes no sequence numbers for its unwritten frames: the
+///   next group resumes at the same sequence number. Frames of the group
+///   written before a rotation split stay committed.
+/// * A **torn group** (a short write) leaves an intact per-record prefix:
+///   every frame wholly inside the written bytes replays, and replay stops
+///   at the first torn frame. Frames are byte-for-byte the single-record
+///   format, so replay cannot tell a group from the same records appended
+///   one at a time.
 /// * An `fsync` makes frames survive **power loss / kernel crash** too. It
-///   happens (a) after every append when [`WalConfig::sync_each_append`] is
-///   set, (b) on every segment rotation for the sealed segment, and (c) on
+///   happens (a) once per append call — per record for `append`, per group
+///   for `append_all` — when [`WalConfig::sync_each_append`] is set, (b) on
+///   every segment rotation for the sealed segment, and (c) on
 ///   [`WalWriter::sync`]. Between fsyncs, a power failure may truncate or
 ///   tear the *tail* of the active segment only.
 /// * A torn tail is safe by construction: appends are strictly sequential,
-///   so a partial write can only affect the final frame, and the reader's
+///   so a partial write can only affect the final frames, and the reader's
 ///   length/CRC validation stops replay exactly at the last intact record.
 ///   [`WalWriter::open`] on an existing directory truncates that torn tail
 ///   (and deletes any unreachable later segments) before resuming, so the
@@ -896,6 +938,10 @@ pub struct WalWriter {
     segment_len: u64,
     next_seq: u64,
     io: Box<dyn WalIo>,
+    /// The group being committed, frames encoded back to back. Reused
+    /// across calls, so steady-state appends allocate nothing; it holds at
+    /// most one group (less when a rotation splits it).
+    buf: Vec<u8>,
 }
 
 impl WalWriter {
@@ -960,6 +1006,7 @@ impl WalWriter {
             segment_len: offset as u64,
             next_seq,
             io,
+            buf: Vec::new(),
         })
     }
 
@@ -984,6 +1031,7 @@ impl WalWriter {
             segment_len: 0,
             next_seq: first_seq,
             io,
+            buf: Vec::new(),
         })
     }
 
@@ -997,30 +1045,86 @@ impl WalWriter {
         self.next_seq
     }
 
-    /// Appends one record, returning its sequence number. See the
-    /// [durability contract](WalWriter#durability-contract).
+    /// Appends one record, returning its sequence number — a group of one
+    /// (see [`WalWriter::append_all`] and the
+    /// [durability contract](WalWriter#durability-contract)).
     ///
     /// # Errors
     ///
     /// Returns [`WalError::Io`] when the OS write (or configured fsync)
     /// fails; the sequence number is not consumed in that case.
     pub fn append(&mut self, record: &WalRecord) -> Result<u64, WalError> {
-        let seq = self.next_seq;
-        let frame = encode_frame(seq, record);
-        if self.segment_len > 0 && self.segment_len + frame.len() as u64 > self.cfg.segment_bytes {
-            self.rotate(seq)?;
+        self.append_all(std::iter::once(record))
+            .map(|seqs| seqs.start)
+    }
+
+    /// Appends `records` as one group, returning the sequence numbers they
+    /// were assigned. The frames are encoded into one reused buffer and
+    /// reach the OS in one write — more only where the group has to rotate
+    /// to a new segment. See the
+    /// [durability contract](WalWriter#durability-contract).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WalError::Io`] when an OS write, a rotation, or the
+    /// configured fsync fails. Frames written before a rotation split keep
+    /// their sequence numbers; the frames of the failed write consume none.
+    pub fn append_all<I>(&mut self, records: I) -> Result<Range<u64>, WalError>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<WalRecord>,
+    {
+        let first = self.next_seq;
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        let committed = self.commit_group(records, &mut buf);
+        self.buf = buf;
+        committed.map(|()| first..self.next_seq)
+    }
+
+    fn commit_group<I>(&mut self, records: I, buf: &mut Vec<u8>) -> Result<(), WalError>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<WalRecord>,
+    {
+        // Frames in `buf` carry sequence numbers `next_seq..next_seq + pending`.
+        let mut pending = 0;
+        for record in records {
+            let start = buf.len();
+            encode_frame_into(self.next_seq + pending, record.borrow(), buf);
+            let filled = self.segment_len + start as u64;
+            if filled > 0 && filled + (buf.len() - start) as u64 > self.cfg.segment_bytes {
+                // Split at this frame boundary: commit the prefix to the
+                // full segment, then start the next one with this frame.
+                if pending > 0 {
+                    self.write_chunk(&buf[..start], pending, false)?;
+                    buf.drain(..start);
+                    pending = 0;
+                }
+                self.rotate(self.next_seq)?;
+            }
+            pending += 1;
         }
+        if pending == 0 {
+            return Ok(());
+        }
+        self.write_chunk(buf, pending, self.cfg.sync_each_append)
+    }
+
+    /// Writes `frames` whole frames in one call and, on success (and after
+    /// the optional fsync), advances the segment length and sequence.
+    fn write_chunk(&mut self, bytes: &[u8], frames: u64, sync: bool) -> Result<(), WalError> {
         self.io
-            .write_frame(&mut self.file, &frame)
+            .write_frame(&mut self.file, bytes)
             .map_err(|e| io_err("append", &self.segment_path, e))?;
-        if self.cfg.sync_each_append {
+        if sync {
             self.io
                 .sync_data(&mut self.file)
                 .map_err(|e| io_err("sync", &self.segment_path, e))?;
         }
-        self.segment_len += frame.len() as u64;
-        self.next_seq = seq + 1;
-        Ok(seq)
+        self.segment_len += bytes.len() as u64;
+        self.next_seq += frames;
+        Ok(())
     }
 
     fn rotate(&mut self, first_seq: u64) -> Result<(), WalError> {
@@ -1072,7 +1176,7 @@ pub fn compact(src: &Path, dst: &Path) -> Result<RecoveryReport, WalError> {
     let mut first_seq = None;
     for (seq, record) in &mut reader {
         first_seq.get_or_insert(seq);
-        frames.extend_from_slice(&encode_frame(seq, &record));
+        encode_frame_into(seq, &record, &mut frames);
     }
     fs::create_dir_all(dst).map_err(|e| io_err("create dir", dst, e))?;
     for (_, path) in list_segments(dst)? {
@@ -1199,6 +1303,7 @@ mod tests {
 
     #[test]
     fn write_read_round_trip_across_rotated_segments() {
+        let _g = batchlens_fault::test_guard();
         let dir = temp_dir("rotate");
         let cfg = WalConfig {
             segment_bytes: 64, // force rotation every couple of records
@@ -1230,6 +1335,7 @@ mod tests {
 
     #[test]
     fn compact_merges_segments_preserving_sequences() {
+        let _g = batchlens_fault::test_guard();
         let src = temp_dir("compact-src");
         let dst = temp_dir("compact-dst");
         let cfg = WalConfig {
@@ -1276,6 +1382,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_detected_and_resume_truncates_it() {
+        let _g = batchlens_fault::test_guard();
         let dir = temp_dir("torn");
         let records = sample_records();
         let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
@@ -1313,6 +1420,7 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_is_detected() {
+        let _g = batchlens_fault::test_guard();
         let dir = temp_dir("bitflip");
         let records = sample_records();
         let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
@@ -1348,6 +1456,7 @@ mod tests {
 
     #[test]
     fn resume_after_mid_log_corruption_drops_later_segments() {
+        let _g = batchlens_fault::test_guard();
         let dir = temp_dir("midlog");
         let cfg = WalConfig {
             segment_bytes: 64,
@@ -1392,6 +1501,7 @@ mod tests {
 
     #[test]
     fn empty_and_missing_directories_are_empty_logs() {
+        let _g = batchlens_fault::test_guard();
         let dir = temp_dir("empty");
         let mut r = WalReader::open(&dir).unwrap();
         assert_eq!((&mut r).count(), 0);
@@ -1409,6 +1519,7 @@ mod tests {
 
     #[test]
     fn sequence_break_stops_replay() {
+        let _g = batchlens_fault::test_guard();
         let dir = temp_dir("seqbreak");
         let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
         w.append(&WalRecord::AlertsDrained).unwrap();
@@ -1426,6 +1537,7 @@ mod tests {
 
     #[test]
     fn first_record_may_start_at_any_sequence() {
+        let _g = batchlens_fault::test_guard();
         // A compacted dump preserves original sequence numbers; replay must
         // accept a log whose first record is not seq 0.
         let dir = temp_dir("anystart");
@@ -1608,5 +1720,312 @@ mod tests {
         assert_eq!((&mut r).count(), records.len());
         assert!(r.report().reason.is_clean());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // -- group commit -------------------------------------------------------
+
+    /// The frame encoder as it stood before frames were encoded in place:
+    /// a payload `Vec`, then a frame `Vec`.
+    fn two_allocation_frame(seq: u64, record: &WalRecord) -> Vec<u8> {
+        let payload = record.encode_payload();
+        let len = payload.len() as u32;
+        let mut crc = Crc32::new();
+        crc.update(&len.to_le_bytes());
+        crc.update(&seq.to_le_bytes());
+        crc.update(&payload);
+        let mut out = Vec::new();
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(&seq.to_le_bytes());
+        out.extend_from_slice(&crc.finish().to_le_bytes());
+        out.extend_from_slice(&payload);
+        out
+    }
+
+    /// Every segment of the log in `dir`, in order, as `(name, bytes)`.
+    fn segment_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        list_segments(dir)
+            .unwrap()
+            .into_iter()
+            .map(|(_, p)| (p.file_name().unwrap().into(), fs::read(&p).unwrap()))
+            .collect()
+    }
+
+    /// The records of `sample_records` three times over, so a group spans
+    /// several segments under a small limit.
+    fn group_records() -> Vec<WalRecord> {
+        let mut out = sample_records();
+        out.extend(sample_records());
+        out.extend(sample_records());
+        out
+    }
+
+    /// A [`WalIo`] that counts the calls reaching the OS.
+    #[derive(Debug, Default)]
+    struct CountingIo {
+        writes: std::sync::Arc<AtomicU64>,
+        syncs: std::sync::Arc<AtomicU64>,
+    }
+
+    impl WalIo for CountingIo {
+        fn write_frame(&mut self, file: &mut File, buf: &[u8]) -> io::Result<()> {
+            self.writes.fetch_add(1, Ordering::Relaxed);
+            file.write_all(buf)
+        }
+
+        fn sync_data(&mut self, file: &mut File) -> io::Result<()> {
+            self.syncs.fetch_add(1, Ordering::Relaxed);
+            file.sync_data()
+        }
+    }
+
+    #[test]
+    fn group_of_one_is_byte_identical_to_the_two_allocation_encoder() {
+        let _g = batchlens_fault::test_guard();
+        let records = sample_records();
+        let mut expected = Vec::new();
+        for (seq, rec) in [0, 1, 41, u64::MAX - 1].into_iter().zip(&records) {
+            assert_eq!(encode_frame(seq, rec), two_allocation_frame(seq, rec));
+        }
+        for (seq, rec) in records.iter().enumerate() {
+            expected.extend(two_allocation_frame(seq as u64, rec));
+        }
+        // Appended one at a time (groups of one) and as a single group: the
+        // same bytes as the old encoder's frames, back to back.
+        let singles = temp_dir("group-one");
+        let mut w = WalWriter::open(&singles, WalConfig::default()).unwrap();
+        for rec in &records {
+            w.append(rec).unwrap();
+        }
+        drop(w);
+        let grouped = temp_dir("group-all");
+        let mut w = WalWriter::open(&grouped, WalConfig::default()).unwrap();
+        assert_eq!(w.append_all(&records).unwrap(), 0..records.len() as u64);
+        drop(w);
+        for dir in [&singles, &grouped] {
+            let segments = segment_bytes(dir);
+            assert_eq!(segments.len(), 1);
+            assert_eq!(segments[0].1, expected);
+            fs::remove_dir_all(dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn group_spanning_rotation_matches_singles_segment_for_segment() {
+        let _g = batchlens_fault::test_guard();
+        let records = group_records();
+        for limit in [1, 40, 64, 100, 257, 1_000] {
+            let cfg = WalConfig {
+                segment_bytes: limit,
+                sync_each_append: false,
+            };
+            let grouped = temp_dir("group-rotate");
+            let mut w = WalWriter::open(&grouped, cfg).unwrap();
+            assert_eq!(w.append_all(&records).unwrap(), 0..records.len() as u64);
+            assert_eq!(w.append_all(&records[..2]).unwrap(), 24..26);
+            drop(w);
+            let singles = temp_dir("group-rotate-singles");
+            let mut w = WalWriter::open(&singles, cfg).unwrap();
+            for rec in records.iter().chain(&records[..2]) {
+                w.append(rec).unwrap();
+            }
+            drop(w);
+
+            let segments = segment_bytes(&grouped);
+            assert!(segments.len() > 1, "limit {limit} must rotate");
+            assert_eq!(segments, segment_bytes(&singles), "limit {limit}");
+            for (name, bytes) in &segments {
+                let first_len = FRAME_HEADER_BYTES
+                    + u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
+                assert!(
+                    bytes.len() as u64 <= limit || bytes.len() == first_len,
+                    "segment {name:?} holds {} bytes over the {limit}-byte limit",
+                    bytes.len()
+                );
+            }
+            let mut r = WalReader::open(&grouped).unwrap();
+            let got: Vec<(u64, WalRecord)> = (&mut r).collect();
+            assert!(r.report().reason.is_clean());
+            assert_eq!(got.len(), records.len() + 2);
+            for (i, ((seq, got), want)) in got
+                .iter()
+                .zip(records.iter().chain(&records[..2]))
+                .enumerate()
+            {
+                assert_eq!(*seq, i as u64);
+                assert_bits_equal(got, want);
+            }
+            fs::remove_dir_all(&grouped).unwrap();
+            fs::remove_dir_all(&singles).unwrap();
+        }
+    }
+
+    #[test]
+    fn short_write_at_every_offset_of_a_group_keeps_its_whole_frames() {
+        let _g = batchlens_fault::test_guard();
+        let records = sample_records();
+        let lead = &records[..2];
+        // Byte offset, within the group, at which each frame ends.
+        let ends: Vec<usize> = records
+            .iter()
+            .enumerate()
+            .scan(0, |end, (i, rec)| {
+                *end += encode_frame((lead.len() + i) as u64, rec).len();
+                Some(*end)
+            })
+            .collect();
+        let group_len = *ends.last().unwrap();
+        for torn in 0..group_len {
+            let dir = temp_dir("group-short");
+            let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
+            w.append_all(lead).unwrap();
+            arm(
+                FAILPOINT_APPEND,
+                FaultSpec::new(Fault::ShortWrite(torn), Trigger::Nth(0)),
+            );
+            let err = w.append_all(&records).expect_err("armed group must fail");
+            assert!(matches!(err, WalError::Io { op: "append", .. }));
+            assert_eq!(
+                w.next_seq(),
+                lead.len() as u64,
+                "torn group consumes no seq"
+            );
+            drop(w);
+            batchlens_fault::disarm_all();
+
+            let whole = ends.iter().filter(|&&end| end <= torn).count();
+            let mut r = WalReader::open(&dir).unwrap();
+            let got: Vec<(u64, WalRecord)> = (&mut r).collect();
+            assert_eq!(got.len(), lead.len() + whole, "torn after {torn} bytes");
+            for ((_, got), want) in got.iter().zip(lead.iter().chain(&records)) {
+                assert_bits_equal(got, want);
+            }
+            let on_boundary = torn == 0 || ends.contains(&torn);
+            assert_eq!(r.report().reason.is_clean(), on_boundary, "torn {torn}");
+
+            // Reopen truncates the tear and continues after the whole frames.
+            let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
+            let next = (lead.len() + whole) as u64;
+            assert_eq!(w.next_seq(), next);
+            assert_eq!(w.append_all(&records[..1]).unwrap(), next..next + 1);
+            drop(w);
+            let mut r = WalReader::open(&dir).unwrap();
+            assert_eq!((&mut r).count(), lead.len() + whole + 1);
+            assert!(r.report().reason.is_clean(), "reopen truncated the tear");
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn failed_group_consumes_no_sequence_numbers() {
+        let _g = batchlens_fault::test_guard();
+        let records = sample_records();
+        let dir = temp_dir("group-error");
+        let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
+        assert_eq!(w.append_all(&records[..2]).unwrap(), 0..2);
+        arm(
+            FAILPOINT_APPEND,
+            FaultSpec::new(Fault::Error, Trigger::Nth(0)),
+        );
+        let err = w.append_all(&records).expect_err("armed group must fail");
+        assert!(matches!(err, WalError::Io { op: "append", .. }));
+        assert_eq!(w.next_seq(), 2);
+        batchlens_fault::disarm_all();
+        let n = records.len() as u64;
+        assert_eq!(w.append_all(&records).unwrap(), 2..2 + n);
+        drop(w);
+        let mut r = WalReader::open(&dir).unwrap();
+        let got: Vec<(u64, WalRecord)> = (&mut r).collect();
+        assert!(r.report().reason.is_clean());
+        assert_eq!(got.len(), 2 + records.len());
+        for (i, ((seq, got), want)) in got
+            .iter()
+            .zip(records[..2].iter().chain(&records))
+            .enumerate()
+        {
+            assert_eq!(*seq, i as u64);
+            assert_bits_equal(got, want);
+        }
+        fs::remove_dir_all(&dir).unwrap();
+
+        // Split by a rotation: the chunk written before the split keeps its
+        // sequence numbers, the failed chunk consumes none.
+        let dir = temp_dir("group-error-split");
+        let cfg = WalConfig {
+            segment_bytes: 100,
+            sync_each_append: false,
+        };
+        let mut w = WalWriter::open(&dir, cfg).unwrap();
+        arm(
+            FAILPOINT_APPEND,
+            FaultSpec::new(Fault::Error, Trigger::Nth(1)),
+        );
+        w.append_all(&records).expect_err("second chunk fails");
+        batchlens_fault::disarm_all();
+        let committed = w.next_seq();
+        assert!(0 < committed && committed < n, "committed {committed}");
+        assert_eq!(
+            w.append_all(&records[committed as usize..]).unwrap(),
+            committed..n
+        );
+        drop(w);
+        let mut r = WalReader::open(&dir).unwrap();
+        let got: Vec<(u64, WalRecord)> = (&mut r).collect();
+        assert!(r.report().reason.is_clean());
+        assert_eq!(got.len(), records.len());
+        for ((_, got), want) in got.iter().zip(&records) {
+            assert_bits_equal(got, want);
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_group_reaches_the_os_in_one_write_and_one_fsync() {
+        let _g = batchlens_fault::test_guard();
+        let records = group_records();
+        for limit in [u64::MAX, 200] {
+            let dir = temp_dir("group-count");
+            let io = CountingIo::default();
+            let (writes, syncs) = (io.writes.clone(), io.syncs.clone());
+            let cfg = WalConfig {
+                segment_bytes: limit,
+                sync_each_append: true,
+            };
+            let mut w = WalWriter::open_with_io(&dir, cfg, Box::new(io)).unwrap();
+            w.append_all(&records).unwrap();
+            drop(w);
+            let written = list_segments(&dir).unwrap().len() as u64;
+            assert_eq!(written > 1, limit == 200, "only the small limit rotates");
+            // One write per segment the group touched; one fsync per
+            // rotation (sealing the full segment) plus one for the group.
+            assert_eq!(writes.load(Ordering::Relaxed), written, "limit {limit}");
+            assert_eq!(syncs.load(Ordering::Relaxed), written, "limit {limit}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn compact_output_is_the_frames_back_to_back() {
+        let _g = batchlens_fault::test_guard();
+        let src = temp_dir("compact-bytes-src");
+        let dst = temp_dir("compact-bytes-dst");
+        let records = group_records();
+        let cfg = WalConfig {
+            segment_bytes: 64,
+            sync_each_append: false,
+        };
+        let mut w = WalWriter::open(&src, cfg).unwrap();
+        w.append_all(&records).unwrap();
+        drop(w);
+        compact(&src, &dst).unwrap();
+        let expected: Vec<u8> = records
+            .iter()
+            .enumerate()
+            .flat_map(|(seq, rec)| two_allocation_frame(seq as u64, rec))
+            .collect();
+        let segments = segment_bytes(&dst);
+        assert_eq!(segments.len(), 1);
+        assert_eq!(segments[0].1, expected);
+        fs::remove_dir_all(&src).unwrap();
+        fs::remove_dir_all(&dst).unwrap();
     }
 }

@@ -412,6 +412,413 @@ fn env_armed_wal_schedule_holds_invariants() {
 }
 
 // ---------------------------------------------------------------------------
+// WAL chaos on the epoch path: group-committed epochs vs. recovery
+// ---------------------------------------------------------------------------
+
+use batchlens::stream::{Batch, BatchSequencer};
+use batchlens::trace::wal::{encode_frame, RecoveryReport, WalReader, WalRecord};
+
+/// One delivery on the epoch path: a sealed usage epoch, which
+/// `ingest_batch` logs as one WAL group, or a record-at-a-time structural
+/// record between epochs.
+#[derive(Debug, Clone)]
+enum EpochDelivery {
+    Epoch(Batch),
+    Instance(BatchInstanceRecord),
+}
+
+impl EpochDelivery {
+    /// The WAL records the delivery logs, in log order.
+    fn frames(&self) -> Vec<WalRecord> {
+        match self {
+            EpochDelivery::Epoch(b) => b
+                .records
+                .iter()
+                .map(|&r| WalRecord::Usage(r))
+                .chain(std::iter::once(WalRecord::EpochSealed(b.version)))
+                .collect(),
+            EpochDelivery::Instance(r) => vec![WalRecord::Instance(*r)],
+        }
+    }
+
+    fn apply(&self, monitor: &StreamMonitor) {
+        match self {
+            EpochDelivery::Epoch(b) => {
+                monitor.ingest_batch(b);
+            }
+            EpochDelivery::Instance(r) => monitor.ingest_instance(*r),
+        }
+    }
+}
+
+/// `n` deterministic 30-second epochs of 1..=12 usage records each (jittered
+/// across the epoch boundary, so some arrive late or stale), with an
+/// instance record delivered between roughly every third pair of epochs.
+fn gen_epochs(seed: u64, n: usize) -> Vec<EpochDelivery> {
+    let sequencer = BatchSequencer::new();
+    let mut s = seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(3);
+    let mut out = Vec::new();
+    for e in 0..n as i64 {
+        let len = 1 + splitmix(&mut s) % 12;
+        let records = (0..len)
+            .map(|_| {
+                let r = splitmix(&mut s);
+                ServerUsageRecord {
+                    time: Timestamp::new((e * 30 + (r % 60) as i64 - 20).max(0)),
+                    machine: MachineId::new(((r >> 16) as u32) % MACHINES),
+                    util: UtilizationTriple::clamped(((r >> 8) % 1_000) as f64 / 1_000.0, 0.3, 0.2),
+                }
+            })
+            .collect();
+        out.push(EpochDelivery::Epoch(
+            sequencer.seal(Timestamp::new(e * 30 + 30), records),
+        ));
+        let r = splitmix(&mut s);
+        if r.is_multiple_of(3) {
+            out.push(EpochDelivery::Instance(BatchInstanceRecord {
+                start_time: Timestamp::new(e * 30),
+                end_time: Timestamp::new(e * 30 + 600),
+                job: JobId::new(((r >> 20) as u32) % 4),
+                task: TaskId::new(1),
+                seq: ((r >> 24) as u32) % 6,
+                total: 6,
+                machine: MachineId::new(((r >> 16) as u32) % MACHINES),
+                status: TaskStatus::Terminated,
+                cpu_avg: 0.4,
+                cpu_max: 0.6,
+                mem_avg: 0.3,
+                mem_max: 0.5,
+            }));
+        }
+    }
+    out
+}
+
+/// How many of each delivery's records the log in `dir` holds — matched,
+/// in delivery order, against what replay yields — plus the replay report.
+/// Every replayed record must belong to a delivery.
+fn logged_frames(
+    dir: &std::path::Path,
+    deliveries: &[EpochDelivery],
+) -> (Vec<usize>, RecoveryReport) {
+    let mut reader = WalReader::open(dir).expect("open wal");
+    let log: Vec<Vec<u8>> = (&mut reader).map(|(_, r)| r.encode_payload()).collect();
+    let mut pos = 0;
+    let counts = deliveries
+        .iter()
+        .map(|d| {
+            let n = d
+                .frames()
+                .iter()
+                .zip(&log[pos..])
+                .take_while(|(frame, logged)| frame.encode_payload() == **logged)
+                .count();
+            pos += n;
+            n
+        })
+        .collect();
+    assert_eq!(
+        pos,
+        log.len(),
+        "every replayed record belongs to a delivery"
+    );
+    (counts, reader.report())
+}
+
+/// A never-crashed, WAL-less reference fed what the log holds: a wholly
+/// logged delivery through its own path (`ingest_batch` for an epoch), a
+/// partly logged one as the single records of its intact prefix.
+fn epoch_reference(deliveries: &[EpochDelivery], counts: &[usize]) -> StreamMonitor {
+    let monitor = StreamMonitor::new(stream_config()).unwrap();
+    for (d, &n) in deliveries.iter().zip(counts) {
+        let frames = d.frames();
+        if n == frames.len() {
+            d.apply(&monitor);
+        } else {
+            for frame in &frames[..n] {
+                monitor.apply_replayed(frame.clone());
+            }
+        }
+    }
+    monitor
+}
+
+fn fired(site: &str) -> u64 {
+    batchlens_fault::site_stats(site).map_or(0, |s| s.fired)
+}
+
+/// Seeded disk-error storms against group-committed epochs: every injected
+/// error is one `wal_errors`, a failed group leaves nothing in the log (or,
+/// split by a rotation, only its chunk before the split), and recovery is
+/// deterministic and bit-identical to a reference fed the surviving epochs.
+#[test]
+fn wal_epoch_error_storms_recover_bit_identical() {
+    let _guard = batchlens_fault::test_guard();
+    let mut total_fired = 0u64;
+    for seed in 0..4u64 {
+        let dir = scratch_dir("epoch-disk");
+        // Even seeds: segments never fill, so every group is one write.
+        // Odd seeds: 256-byte segments split most epochs across rotations.
+        let wal_cfg = if seed.is_multiple_of(2) {
+            WalConfig::default()
+        } else {
+            WalConfig {
+                segment_bytes: 256,
+                sync_each_append: false,
+            }
+        };
+        arm(
+            FAILPOINT_APPEND,
+            FaultSpec::new(
+                Fault::Error,
+                Trigger::Prob {
+                    seed: seed.wrapping_mul(0x51_7CC1).wrapping_add(11),
+                    fire_per_1024: 256,
+                },
+            ),
+        );
+        let monitor = StreamMonitor::new(stream_config()).unwrap();
+        monitor.attach_wal(WalWriter::open(&dir, wal_cfg).unwrap());
+        let deliveries = gen_epochs(seed, 150);
+        let mut survived = Vec::new();
+        for d in &deliveries {
+            let (before, errors) = (fired(FAILPOINT_APPEND), monitor.wal_errors());
+            d.apply(&monitor);
+            let fired_here = fired(FAILPOINT_APPEND) - before;
+            assert!(fired_here <= 1, "a failed group stops at its first fault");
+            assert_eq!(
+                monitor.wal_errors() - errors,
+                fired_here,
+                "one error per failed group"
+            );
+            survived.push(fired_here == 0);
+        }
+        drop(monitor.detach_wal());
+        let stats = disarm(FAILPOINT_APPEND).expect("site was armed");
+        assert!(stats.fired > 0, "seed {seed} injected no faults");
+        assert_eq!(monitor.wal_errors(), stats.fired, "seed {seed}");
+        total_fired += stats.fired;
+
+        let (rec_a, rep_a) = StreamMonitor::recover(&dir, stream_config()).unwrap();
+        let (rec_b, rep_b) = StreamMonitor::recover(&dir, stream_config()).unwrap();
+        assert!(rep_a.reason.is_clean(), "failed groups write nothing torn");
+        assert_eq!(rep_a.records_replayed, rep_b.records_replayed);
+        let (counts, _) = logged_frames(&dir, &deliveries);
+        for ((d, &n), &ok) in deliveries.iter().zip(&counts).zip(&survived) {
+            let frames = d.frames().len();
+            if ok {
+                assert_eq!(
+                    n, frames,
+                    "a committed delivery is wholly logged (seed {seed})"
+                );
+            } else if seed.is_multiple_of(2) {
+                assert_eq!(n, 0, "an unsplit failed group logs nothing (seed {seed})");
+            } else {
+                assert!(
+                    n < frames,
+                    "a failed group never logs its last chunk (seed {seed})"
+                );
+            }
+        }
+        let reference = epoch_reference(&deliveries, &counts);
+        assert_same_monitor(&rec_a, &reference, &format!("seed {seed} vs reference"));
+        assert_same_monitor(&rec_a, &rec_b, &format!("seed {seed} determinism"));
+        assert_eq!(
+            rec_a.sealed_epoch(),
+            reference.sealed_epoch(),
+            "seed {seed}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+    assert!(
+        total_fired >= 100,
+        "the storm must inject at least 100 faults, got {total_fired}"
+    );
+}
+
+/// A torn write inside an epoch group keeps exactly the group's frames that
+/// lie wholly before the tear: recovery equals a reference fed the earlier
+/// deliveries plus the torn epoch's intact prefix, and a resumed writer
+/// truncates the wreckage so re-delivering the rest converges on the
+/// never-crashed state.
+#[test]
+fn torn_epoch_groups_recover_the_intact_prefix_and_resume() {
+    let _guard = batchlens_fault::test_guard();
+    let deliveries = gen_epochs(5, 60);
+    // Every delivery is one write (default segments never fill), so the
+    // Nth write is the Nth delivery. Tear three epochs of >= 4 records.
+    let victims: Vec<usize> = deliveries
+        .iter()
+        .enumerate()
+        .filter(|(_, d)| matches!(d, EpochDelivery::Epoch(b) if b.records.len() >= 4))
+        .map(|(i, _)| i)
+        .collect();
+    let victims = [
+        victims[0],
+        victims[victims.len() / 2],
+        victims[victims.len() - 1],
+    ];
+    for &k in &victims {
+        let frames = deliveries[k].frames();
+        let ends: Vec<usize> = frames
+            .iter()
+            .scan(0, |end, f| {
+                *end += encode_frame(0, f).len();
+                Some(*end)
+            })
+            .collect();
+        let usage_end = ends[ends.len() - 2];
+        // Inside the first frame, on a frame boundary, inside a later frame,
+        // and inside the seal after every usage frame. (A write torn after
+        // zero bytes is a plain failed group, which the storms cover.)
+        for torn in [7, ends[1], ends[1] + 13, usage_end + 5] {
+            let dir = scratch_dir("epoch-tear");
+            arm(
+                FAILPOINT_APPEND,
+                FaultSpec::new(Fault::ShortWrite(torn), Trigger::Nth(k as u64)),
+            );
+            let monitor = StreamMonitor::new(stream_config()).unwrap();
+            monitor.attach_wal(WalWriter::open(&dir, WalConfig::default()).unwrap());
+            for d in &deliveries {
+                d.apply(&monitor);
+            }
+            drop(monitor.detach_wal());
+            let stats = disarm(FAILPOINT_APPEND).expect("site was armed");
+            assert_eq!(stats.fired, 1, "exactly one torn group");
+            assert_eq!(monitor.wal_errors(), 1);
+
+            let whole = ends.iter().filter(|&&end| end <= torn).count();
+            let ctx = format!("delivery {k} torn after {torn} bytes");
+            let (recovered, report) = StreamMonitor::recover(&dir, stream_config()).unwrap();
+            // Later groups land behind the tear (or, on a frame boundary,
+            // reuse its unconsumed sequence numbers): replay stops there.
+            assert!(!report.reason.is_clean(), "{ctx}");
+            let (counts, _) = logged_frames(&dir, &deliveries);
+            let expected: Vec<usize> = deliveries
+                .iter()
+                .enumerate()
+                .map(|(i, d)| match i.cmp(&k) {
+                    std::cmp::Ordering::Less => d.frames().len(),
+                    std::cmp::Ordering::Equal => whole,
+                    std::cmp::Ordering::Greater => 0,
+                })
+                .collect();
+            assert_eq!(counts, expected, "{ctx}");
+            let reference = epoch_reference(&deliveries, &counts);
+            assert_same_monitor(&recovered, &reference, &ctx);
+            assert_eq!(recovered.sealed_epoch(), reference.sealed_epoch(), "{ctx}");
+
+            // Resume: a reopened writer truncates the tear; re-delivering
+            // the torn epoch's unlogged records (as the same epoch) and
+            // everything after converges on the never-crashed reference.
+            recovered.attach_wal(WalWriter::open(&dir, WalConfig::default()).unwrap());
+            let EpochDelivery::Epoch(torn_epoch) = &deliveries[k] else {
+                unreachable!("victims are epochs")
+            };
+            let rest = Batch {
+                records: torn_epoch.records[whole.min(torn_epoch.records.len())..].to_vec(),
+                ..torn_epoch.clone()
+            };
+            recovered.ingest_batch(&rest);
+            for d in &deliveries[k + 1..] {
+                d.apply(&recovered);
+            }
+            drop(recovered.detach_wal());
+            assert_eq!(recovered.wal_errors(), 0, "resumed logging is clean");
+            let (rebuilt, report) = StreamMonitor::recover(&dir, stream_config()).unwrap();
+            assert!(
+                report.reason.is_clean(),
+                "resumed log replays clean ({ctx})"
+            );
+            let never_crashed = epoch_reference(
+                &deliveries,
+                &deliveries
+                    .iter()
+                    .map(|d| d.frames().len())
+                    .collect::<Vec<_>>(),
+            );
+            assert_same_monitor(&rebuilt, &never_crashed, &format!("resume, {ctx}"));
+            assert_eq!(rebuilt.sealed_epoch(), never_crashed.sealed_epoch());
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// The epoch-path twin of `env_armed_wal_schedule_holds_invariants` for
+/// the CI fault-schedule matrix: arms whatever `BATCHLENS_FAILPOINTS`
+/// specifies and drives `ingest_batch` epochs (logged as WAL groups, split
+/// across 512-byte segments) with structural records between them. Every
+/// WAL error comes from an injected fault, recovery is deterministic, a
+/// delivery that raised no error is wholly in the log unless replay stopped
+/// before it, and (absent sync faults) the recovered state is bit-identical
+/// to a reference fed what the log holds. With the variable unset this is a
+/// clean round trip, so it is safe in the default suite.
+#[test]
+fn env_armed_wal_epoch_schedule_holds_invariants() {
+    use batchlens::trace::wal::FAILPOINT_SYNC;
+
+    let _guard = batchlens_fault::test_guard();
+    let armed = batchlens_fault::arm_from_env();
+    let dir = scratch_dir("epoch-env");
+    let monitor = StreamMonitor::new(stream_config()).unwrap();
+    let wal_cfg = WalConfig {
+        segment_bytes: 512,
+        sync_each_append: false,
+    };
+    monitor.attach_wal(WalWriter::open(&dir, wal_cfg).unwrap());
+    let deliveries = gen_epochs(9, 150);
+    let mut survived = Vec::new();
+    for d in &deliveries {
+        let before = monitor.wal_errors();
+        d.apply(&monitor);
+        survived.push(monitor.wal_errors() == before);
+    }
+    drop(monitor.detach_wal());
+    let append_fired = fired(FAILPOINT_APPEND);
+    let sync_fired = fired(FAILPOINT_SYNC);
+    assert!(
+        monitor.wal_errors() <= append_fired + sync_fired,
+        "WAL errors only come from injected faults ({} errors, {} fired)",
+        monitor.wal_errors(),
+        append_fired + sync_fired
+    );
+    if armed == 0 {
+        assert_eq!(monitor.wal_errors(), 0, "disarmed runs log cleanly");
+    }
+
+    let (rec_a, rep_a) = StreamMonitor::recover(&dir, stream_config()).unwrap();
+    let (rec_b, rep_b) = StreamMonitor::recover(&dir, stream_config()).unwrap();
+    assert_eq!(rep_a.records_replayed, rep_b.records_replayed);
+    assert_same_monitor(&rec_a, &rec_b, "env epoch schedule determinism");
+    if sync_fired == 0 {
+        let (counts, report) = logged_frames(&dir, &deliveries);
+        // Replay reaches every delivery when clean; after a tear, only the
+        // deliveries up to the last one it logged anything of.
+        let reached = if report.reason.is_clean() {
+            deliveries.len()
+        } else {
+            counts.iter().rposition(|&n| n > 0).map_or(0, |i| i + 1)
+        };
+        for (i, (d, &n)) in deliveries.iter().zip(&counts).enumerate() {
+            if survived[i] && i < reached {
+                assert_eq!(n, d.frames().len(), "delivery {i} committed but not logged");
+            }
+        }
+        let reference = epoch_reference(&deliveries, &counts);
+        assert_same_monitor(&rec_a, &reference, "env epoch schedule vs log");
+        assert_eq!(rec_a.sealed_epoch(), reference.sealed_epoch());
+        if armed == 0 {
+            assert!(report.reason.is_clean());
+            assert!(counts
+                .iter()
+                .zip(&deliveries)
+                .all(|(&n, d)| n == d.frames().len()));
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
 // Serve chaos: route faults, panics, capture failures, client disconnects
 // ---------------------------------------------------------------------------
 
