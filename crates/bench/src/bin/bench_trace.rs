@@ -6,7 +6,8 @@
 //! implementations they replaced and writes `BENCH_trace.json` (working
 //! directory) so future PRs can track the trajectory. Each op is timed over
 //! several runs and reported with min/mean/max so the trajectory carries
-//! variance, not just a best-of point.
+//! variance, not just a best-of point. Each freshly measured row is stamped
+//! with the host it ran on (cores, rustc, `git describe --dirty`).
 //!
 //! Options:
 //!
@@ -24,9 +25,11 @@
 //! write and skipped by `--check`.
 
 use std::collections::BTreeSet;
+use std::process::Command;
+use std::sync::OnceLock;
 use std::time::Instant;
 
-use batchlens::stream::{StreamConfig, StreamMonitor};
+use batchlens::stream::{BatchSequencer, StreamConfig, StreamMonitor};
 use batchlens::trace::wal::{WalConfig, WalWriter};
 use batchlens::trace::{
     csv, naive, DatasetQuery, JobId, MachineId, Metric, ServerUsageRecord, TimeDelta, TimeSeries,
@@ -52,6 +55,44 @@ struct Entry {
     optimized: Stats,
     /// `naive.min_ns / optimized.min_ns`.
     speedup: f64,
+    /// Where the row was measured (absent on rows committed before rows
+    /// were stamped).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    host: Option<Host>,
+}
+
+/// Cores, compiler and commit of the host that measured a row, so rows from
+/// different hosts are never compared silently.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Host {
+    available_parallelism: usize,
+    rustc: String,
+    /// `git describe --always --dirty` of the working tree.
+    commit: String,
+}
+
+impl Host {
+    /// This process's host, probed once.
+    fn current() -> Host {
+        static HOST: OnceLock<Host> = OnceLock::new();
+        HOST.get_or_init(|| {
+            let probe = |cmd: &str, args: &[&str]| {
+                Command::new(cmd)
+                    .args(args)
+                    .output()
+                    .ok()
+                    .filter(|o| o.status.success())
+                    .and_then(|o| String::from_utf8(o.stdout).ok())
+                    .map_or_else(|| "unknown".to_string(), |v| v.trim().to_string())
+            };
+            Host {
+                available_parallelism: std::thread::available_parallelism().map_or(0, |n| n.get()),
+                rustc: probe("rustc", &["--version"]),
+                commit: probe("git", &["describe", "--always", "--dirty"]),
+            }
+        })
+        .clone()
+    }
 }
 
 /// One serving-layer load point: `sessions` concurrent keep-alive dashboard
@@ -132,6 +173,7 @@ fn entry(name: impl Into<String>, naive: Stats, optimized: Stats) -> Entry {
         naive,
         optimized,
         speedup: naive.min_ns / optimized.min_ns,
+        host: Some(Host::current()),
     }
 }
 
@@ -291,6 +333,65 @@ fn synthetic_entries(entries: &mut Vec<Entry>) {
     drop(logged.detach_wal());
     let _ = std::fs::remove_dir_all(&wal_dir);
     entries.push(entry("ingest_wal_overhead", baseline, with_wal));
+
+    // --- Epoch group commit: one minute of a BATCH-machine cluster (one
+    //     record per machine) into a WAL-attached monitor, delivered record
+    //     at a time ("naive": one WAL write per record) vs sealed as one
+    //     `ingest_batch` epoch ("optimized": one write per epoch). ---
+    const WARM_UP: i64 = 10;
+    const EPOCH_RUNS: i64 = 5;
+    let epoch = |minute: i64| -> Vec<ServerUsageRecord> {
+        (0..BATCH as u32)
+            .map(|m| ServerUsageRecord {
+                time: Timestamp::new(minute * 60),
+                machine: MachineId::new(m),
+                util: UtilizationTriple::clamped(
+                    0.2 + 0.6 * (((minute + i64::from(m)) % 97) as f64 / 97.0),
+                    0.4,
+                    0.2,
+                ),
+            })
+            .collect()
+    };
+    let singles_dir = wal_dir.with_extension("singles");
+    let epochs_dir = wal_dir.with_extension("epochs");
+    let singles = StreamMonitor::new(cfg).unwrap();
+    let epochs = StreamMonitor::new(cfg).unwrap();
+    for (monitor, dir) in [(&singles, &singles_dir), (&epochs, &epochs_dir)] {
+        let _ = std::fs::remove_dir_all(dir);
+        monitor.attach_wal(WalWriter::open(dir, WalConfig::default()).expect("bench wal opens"));
+    }
+    // Warm both monitors up on the same minutes, then time fresh minutes:
+    // each run delivers the next one to both, pre-built outside the timer.
+    let sequencer = BatchSequencer::new();
+    for minute in 0..WARM_UP {
+        let records = epoch(minute);
+        for &r in &records {
+            singles.ingest(r);
+        }
+        epochs.ingest_batch(&sequencer.seal(Timestamp::new(minute * 60), records));
+    }
+    let timed = WARM_UP..WARM_UP + EPOCH_RUNS;
+    let mut single_epochs = timed.clone().map(epoch).collect::<Vec<_>>().into_iter();
+    let naive_s = measure(EPOCH_RUNS as usize, || {
+        let records = single_epochs.next().expect("one epoch per run");
+        records.iter().map(|&r| singles.ingest(r).len()).sum()
+    });
+    let mut batches = timed
+        .map(|m| sequencer.seal(Timestamp::new(m * 60), epoch(m)))
+        .collect::<Vec<_>>()
+        .into_iter();
+    let optimized = measure(EPOCH_RUNS as usize, || {
+        epochs
+            .ingest_batch(&batches.next().expect("one epoch per run"))
+            .len()
+    });
+    assert_eq!(singles.wal_errors() + epochs.wal_errors(), 0);
+    drop(singles.detach_wal());
+    drop(epochs.detach_wal());
+    let _ = std::fs::remove_dir_all(&singles_dir);
+    let _ = std::fs::remove_dir_all(&epochs_dir);
+    entries.push(entry("ingest_wal_epoch_overhead", naive_s, optimized));
 }
 
 /// Dataset-bound rows, suffixed with the tier name.

@@ -55,7 +55,10 @@ pub enum Fault {
     /// or sync returns `Err` having done nothing — a full disk).
     Error,
     /// Perform only the first `n` bytes of a write, then fail — a torn
-    /// write (power-loss shape) the caller sees as an error.
+    /// write (power-loss shape) the caller sees as an error. The tear is
+    /// clamped to `min(n, len - 1)` bytes of a `len`-byte write, so a write
+    /// reported as failed is always short: at least its last byte is
+    /// missing, however large `n` is.
     ShortWrite(usize),
     /// Stall the operation for the given duration, then proceed normally —
     /// a slow disk, a slow capture, a scheduling hiccup.

@@ -60,11 +60,23 @@ impl Color {
 
     /// Renders as `#rrggbb` (alpha omitted when opaque) or `#rrggbbaa`.
     pub fn to_hex(&self) -> String {
-        if self.a == 255 {
-            format!("#{:02x}{:02x}{:02x}", self.r, self.g, self.b)
-        } else {
-            format!("#{:02x}{:02x}{:02x}{:02x}", self.r, self.g, self.b, self.a)
+        let mut s = String::with_capacity(9);
+        let _ = self.write_hex(&mut s);
+        s
+    }
+
+    /// Appends the [`Color::to_hex`] form to `out` without allocating; the
+    /// one hex encoder behind `to_hex`, `Display` and the SVG emitter.
+    pub fn write_hex(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let channels = [self.r, self.g, self.b, self.a];
+        let n = if self.a == 255 { 3 } else { 4 };
+        out.write_char('#')?;
+        for &c in &channels[..n] {
+            out.write_char(char::from(DIGITS[usize::from(c >> 4)]))?;
+            out.write_char(char::from(DIGITS[usize::from(c & 0xf)]))?;
         }
+        Ok(())
     }
 
     /// Linear interpolation in sRGB space at `t ∈ [0, 1]`.
@@ -97,9 +109,11 @@ impl Color {
     }
 }
 
+/// Formats as [`Color::to_hex`] does, writing straight into the formatter
+/// (no allocation).
 impl std::fmt::Display for Color {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_hex())
+        self.write_hex(f)
     }
 }
 
@@ -192,6 +206,22 @@ pub fn link_color(i: usize) -> Color {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hex_encoder_matches_format_for_every_channel_value() {
+        for v in 0..=255u8 {
+            let c = Color::rgb(v, v.wrapping_mul(7), 255 - v);
+            assert_eq!(c.to_hex(), format!("#{:02x}{:02x}{:02x}", c.r, c.g, c.b));
+            assert_eq!(c.to_string(), c.to_hex());
+            let t = c.with_alpha(v.min(254));
+            let want = format!("#{:02x}{:02x}{:02x}{:02x}", t.r, t.g, t.b, t.a);
+            assert_eq!(t.to_hex(), want);
+            assert_eq!(t.to_string(), want);
+            let mut appended = String::from("fill=");
+            t.write_hex(&mut appended).unwrap();
+            assert_eq!(appended, format!("fill={want}"));
+        }
+    }
 
     #[test]
     fn hex_round_trip() {

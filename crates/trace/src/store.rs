@@ -602,14 +602,14 @@ fn encode_segment<T>(
 
 /// Writes (and fsyncs) one sealed segment, honoring the
 /// [`FAILPOINT_WRITE`] site: an injected `ShortWrite(n)` persists exactly
-/// the first `n` bytes — a torn segment on disk — before erroring, exactly
-/// like the WAL's append seam.
+/// the first `min(n, len - 1)` bytes — a torn segment on disk — before
+/// erroring, exactly like the WAL's append seam.
 fn write_segment_file(path: &Path, bytes: &[u8]) -> Result<(), TraceError> {
     let mut file = fs::File::create(path).map_err(|e| io_err("create", path, e))?;
     match batchlens_fault::fire(FAILPOINT_WRITE) {
         None => {}
         Some(batchlens_fault::Fault::ShortWrite(n)) => {
-            let n = n.min(bytes.len());
+            let n = n.min(bytes.len().saturating_sub(1));
             file.write_all(&bytes[..n])
                 .and_then(|_| file.sync_data())
                 .map_err(|e| io_err("write", path, e))?;
@@ -1740,6 +1740,27 @@ mod tests {
             SegmentReader::open(&path),
             Err(TraceError::CorruptSegment { .. })
         ));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn oversized_short_write_still_tears_the_segment() {
+        let _guard = batchlens_fault::test_guard();
+        let dir = temp_dir("failpoint-short-oversized");
+        let machines = [(MachineId::new(1), MachineInfo::default())];
+        let mut w = SegmentWriter::create(&dir).unwrap();
+        w.write_machines(&machines).unwrap();
+        let path = list_store_segments(&dir).unwrap().remove(0);
+        let clean = fs::read(&path).unwrap();
+        fs::remove_file(&path).unwrap();
+        arm(
+            FAILPOINT_WRITE,
+            FaultSpec::new(Fault::ShortWrite(usize::MAX), Trigger::Nth(0)),
+        );
+        let err = w.write_machines(&machines).unwrap_err();
+        assert!(matches!(err, TraceError::Io { .. }));
+        batchlens_fault::disarm_all();
+        assert_eq!(fs::read(&path).unwrap(), clean[..clean.len() - 1]);
         fs::remove_dir_all(&dir).ok();
     }
 

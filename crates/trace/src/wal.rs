@@ -654,8 +654,9 @@ impl WalIo for StdWalIo {
             Some(batchlens_fault::Fault::ShortWrite(n)) => {
                 // Torn tail: the prefix reaches the file, then the device
                 // "fails". The caller sees an error; the reader sees a torn
-                // frame.
-                file.write_all(&buf[..n.min(buf.len())])?;
+                // frame. The tear always drops at least the last byte, so a
+                // reported failure never leaves the whole write behind.
+                file.write_all(&buf[..n.min(buf.len().saturating_sub(1))])?;
                 Err(batchlens_fault::injected_io_error(FAILPOINT_APPEND))
             }
             Some(_) => Err(batchlens_fault::injected_io_error(FAILPOINT_APPEND)),
@@ -1856,6 +1857,31 @@ mod tests {
             }
             fs::remove_dir_all(&grouped).unwrap();
             fs::remove_dir_all(&singles).unwrap();
+        }
+    }
+
+    #[test]
+    fn short_write_longer_than_the_frame_still_tears_it() {
+        let _g = batchlens_fault::test_guard();
+        let records = sample_records();
+        let frame_len = encode_frame(2, &records[2]).len();
+        for torn in [frame_len - 1, frame_len, frame_len + 1, usize::MAX] {
+            let dir = temp_dir("fp-short-long");
+            let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
+            w.append_all(&records[..2]).unwrap();
+            arm(
+                FAILPOINT_APPEND,
+                FaultSpec::new(Fault::ShortWrite(torn), Trigger::Nth(0)),
+            );
+            w.append(&records[2]).expect_err("armed append must fail");
+            drop(w);
+            batchlens_fault::disarm_all();
+
+            // The failed record never replays: its frame lacks its last byte.
+            let mut r = WalReader::open(&dir).unwrap();
+            assert_eq!((&mut r).count(), 2, "torn {torn}");
+            assert!(!r.report().reason.is_clean(), "torn {torn}");
+            fs::remove_dir_all(&dir).unwrap();
         }
     }
 
