@@ -819,7 +819,7 @@ fn dataset_entries(tier: Tier, ds: &TraceDataset, entries: &mut Vec<Entry>) {
     //     "naive" feeds the time-sorted usage archive one `ingest` call
     //     (one lock acquisition) per record into a single monitor;
     //     "optimized" partitions the same feed into sealed epochs and fans
-    //     each epoch across a 4-shard ShardedMonitor — one lock
+    //     each epoch across a 4-shard StreamMonitor — one lock
     //     acquisition per shard per epoch. Both land in bit-identical
     //     query state (the sharded_differential suite proves it). The
     //     stdout line also reports the middle point (epoch-batched on a
@@ -829,8 +829,6 @@ fn dataset_entries(tier: Tier, ds: &TraceDataset, entries: &mut Vec<Entry>) {
     //     parallelism to offset it and can read *below* 1x; the --check
     //     guard only flags growth of the sharded path, which is exactly
     //     the regression we want caught. ---
-    use batchlens::shard::ShardedMonitor;
-    use batchlens::stream::BatchSequencer;
     const EPOCH_RECORDS: usize = 512;
     let ingest_reps = if tier == Tier::Paper { 2 } else { 3 };
     let serial_t = measure(ingest_reps, || {
@@ -853,9 +851,12 @@ fn dataset_entries(tier: Tier, ds: &TraceDataset, entries: &mut Vec<Entry>) {
         monitor.ingested() as usize
     });
     let batched_t = measure(ingest_reps, || {
-        let sharded = ShardedMonitor::new(stream_cfg, 4)
-            .unwrap()
-            .with_threads(PAR_THREADS);
+        let sharded = StreamMonitor::new(StreamConfig {
+            shards: 4,
+            ..stream_cfg
+        })
+        .unwrap()
+        .with_threads(PAR_THREADS);
         let sequencer = BatchSequencer::new();
         for part in feed.chunks(EPOCH_RECORDS) {
             let batch = sequencer.seal(

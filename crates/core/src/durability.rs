@@ -4,39 +4,36 @@
 //!
 //! A dump directory contains:
 //!
-//! * the four trace tables in their canonical CSV form (`batch_task.csv`,
-//!   `batch_instance.csv`, `server_usage.csv`, `machine_events.csv`),
-//! * `dataset/` — the same tables as columnar
+//! * `dataset/` — the trace tables and machine declarations as columnar
 //!   [`batchlens_trace::store`] segments (sorted, checksummed,
-//!   memory-mappable); [`restore`] prefers this payload when present and
-//!   rebuilds the dataset via the lazy [`TraceDataset::open`] path, which
-//!   is both faster than a CSV re-parse and bit-exact on every f64,
-//! * `machines.json` — explicit machine capacity declarations,
+//!   memory-mappable); [`restore`] reopens them via the lazy
+//!   [`TraceDataset::open`] path, bit-exact on every f64,
 //! * `session.json` — the recorded interaction log,
 //! * `monitor/config.json` + `monitor/wal/` — the live monitor's
-//!   configuration and its WAL, compacted to a single sealed segment with
-//!   sequence numbers preserved (present only when a monitor was dumped).
+//!   configuration (shard count included) and its WAL, each shard's log
+//!   compacted to a single sealed segment with sequence numbers preserved,
+//!   in the [`StreamMonitor::shard_wal_dir`] layout (present only when a
+//!   monitor was dumped).
 //!
 //! The compacted monitor WAL is the **snapshot** half of a
 //! snapshot-plus-tail scheme: [`restore`] replays it through
-//! [`StreamMonitor::recover`], and any records the live log accepted
-//! *after* the dump (sequence numbers past the dump's last) are the tail —
-//! feed them to [`StreamMonitor::apply_replayed`] to catch up. Monitor
-//! state round-trips **bit-identically** (the WAL codec is bit-exact);
-//! `server_usage` rows round-trip on the trace's native 0.01 % utilization
-//! grid, which every CSV-parsed dataset already lies on.
+//! [`StreamMonitor::recover`], and any records a one-shard monitor's live
+//! log accepted *after* the dump (sequence numbers past the dump's last)
+//! are the tail — feed them to [`StreamMonitor::apply_replayed`] to catch
+//! up. Monitor state round-trips **bit-identically** (the WAL codec is
+//! bit-exact). The CSV codec stays the import/export format (see the
+//! `trace_export` example); it is not part of a dump.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use batchlens_trace::wal::{self, RecoveryReport, WalError};
-use batchlens_trace::{csv, store, MachineId, MachineInfo, TraceDatasetBuilder, TraceError};
-use batchlens_trace::{Metric, ServerUsageRecord, TraceDataset, UtilizationTriple};
+use batchlens_trace::{store, TraceDataset, TraceError};
 
 use crate::app::BatchLens;
 use crate::session::SessionLog;
-use crate::stream::{RecoverError, StreamConfig, StreamMonitor};
+use crate::stream::{merge_reports, RecoverError, StreamConfig, StreamMonitor};
 
 /// Why a [`dump`] failed.
 #[derive(Debug)]
@@ -113,7 +110,7 @@ pub enum RestoreError {
         /// The OS error.
         source: io::Error,
     },
-    /// A CSV table or the rebuilt dataset was invalid.
+    /// The dataset payload was missing, corrupt or invalid.
     Trace(TraceError),
     /// `session.json` or `monitor/config.json` was malformed.
     Deserialize(serde_json::Error),
@@ -157,13 +154,15 @@ impl From<RecoverError> for RestoreError {
 /// What a [`dump`] wrote.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DumpReport {
-    /// Rows written per CSV table: tasks, instances, usage, events.
-    pub rows: [usize; 4],
+    /// Rows written per segment family: tasks, instances, usage, events,
+    /// machines.
+    pub rows: [usize; 5],
     /// Columnar segment files written into `dataset/`.
     pub segments: usize,
-    /// The monitor WAL compaction outcome, when a monitor was dumped. A
-    /// non-clean reason means the live log had a torn/corrupt tail and the
-    /// dump captured its intact prefix.
+    /// The monitor WAL compaction outcome, when a monitor was dumped (the
+    /// shard logs' reports summed, at N shards). A non-clean reason means a
+    /// live log had a torn/corrupt tail and the dump captured its intact
+    /// prefix.
     pub monitor: Option<RecoveryReport>,
 }
 
@@ -196,55 +195,15 @@ fn read_file(path: &Path) -> Result<String, RestoreError> {
     })
 }
 
-/// Opens a CSV table for streaming parse — a buffered line reader, so
-/// restore never materializes a multi-gigabyte table as one `String`.
-fn open_csv(path: &Path) -> Result<io::BufReader<fs::File>, RestoreError> {
-    fs::File::open(path)
-        .map(io::BufReader::new)
-        .map_err(|source| RestoreError::Io {
-            op: "open",
-            path: path.to_path_buf(),
-            source,
-        })
-}
-
-/// Reconstructs the flat `server_usage` rows from a dataset's per-machine
-/// series (the builder consumed the rows into three aligned series per
-/// machine; zipping them back is exact because they share one grid).
-fn usage_rows(lens: &BatchLens) -> Vec<ServerUsageRecord> {
-    let mut rows = Vec::new();
-    for machine in lens.dataset().machines() {
-        let (Some(cpu), Some(mem), Some(disk)) = (
-            machine.usage(Metric::Cpu),
-            machine.usage(Metric::Memory),
-            machine.usage(Metric::Disk),
-        ) else {
-            continue;
-        };
-        for i in 0..cpu.len() {
-            rows.push(ServerUsageRecord {
-                time: cpu.times()[i],
-                machine: machine.id(),
-                util: UtilizationTriple::clamped(
-                    cpu.values()[i],
-                    mem.values()[i],
-                    disk.values()[i],
-                ),
-            });
-        }
-    }
-    rows.sort_by_key(|r| (r.time, r.machine));
-    rows
-}
-
-/// Dumps the whole lens state — dataset tables, session log, and (when
-/// `monitor` is given) the live monitor's config plus its WAL compacted to
-/// a single segment — into `dir`, creating it if needed.
+/// Dumps the whole lens state — dataset segments, session log, and (when
+/// `monitor` is given) the live monitor's config plus each shard's WAL
+/// compacted to a single segment — into `dir`, creating it if needed.
 ///
-/// The monitor must have a WAL attached ([`StreamMonitor::attach_wal`]):
-/// its state is persisted *as* that log, synced and compacted with
-/// sequence numbers preserved, so a later [`restore`] replays to the
-/// bit-identical state and newer live-log records still apply as a tail.
+/// The monitor must have a WAL attached ([`StreamMonitor::attach_wal`] or
+/// [`StreamMonitor::attach_wal_family`]): its state is persisted *as* that
+/// log, synced and compacted with sequence numbers preserved, so a later
+/// [`restore`] replays to the bit-identical state and newer live-log
+/// records still apply as a tail.
 ///
 /// # Errors
 ///
@@ -261,45 +220,16 @@ pub fn dump(
         source,
     })?;
 
-    let ds = lens.dataset();
-    let tasks: Vec<_> = ds.task_records().copied().collect();
-    let instances = ds.instance_records();
-    let usage = usage_rows(lens);
-    let events = ds.machine_events();
-
-    write_file(&dir.join("batch_task.csv"), &csv::write_batch_tasks(&tasks))?;
-    write_file(
-        &dir.join("batch_instance.csv"),
-        &csv::write_batch_instances(instances),
-    )?;
-    write_file(
-        &dir.join("server_usage.csv"),
-        &csv::write_server_usage(&usage),
-    )?;
-    write_file(
-        &dir.join("machine_events.csv"),
-        &csv::write_machine_events(events),
-    )?;
-
-    let machines: Vec<(MachineId, MachineInfo)> =
-        ds.machines().map(|m| (m.id(), m.info())).collect();
-    write_file(
-        &dir.join("machines.json"),
-        &serde_json::to_string_pretty(&machines)?,
-    )?;
     write_file(&dir.join("session.json"), &lens.log().to_json()?)?;
-
-    // The columnar payload: same tables as the CSVs, but sorted, checksummed
-    // and memory-mappable, giving restore its fast lazy path.
-    let store_report = store::dump_dataset(&dir.join("dataset"), ds)?;
+    let store_report = store::dump_dataset(&dir.join("dataset"), lens.dataset())?;
 
     let mut report = DumpReport {
-        rows: [tasks.len(), instances.len(), usage.len(), events.len()],
+        rows: store_report.rows,
         segments: store_report.segments,
         monitor: None,
     };
     if let Some(monitor) = monitor {
-        let wal_dir = monitor.wal_dir().ok_or(DumpError::MonitorHasNoWal)?;
+        let wal_root = monitor.wal_dir().ok_or(DumpError::MonitorHasNoWal)?;
         monitor.sync_wal();
         let monitor_dir = dir.join("monitor");
         fs::create_dir_all(&monitor_dir).map_err(|source| DumpError::Io {
@@ -311,7 +241,16 @@ pub fn dump(
             &monitor_dir.join("config.json"),
             &serde_json::to_string_pretty(monitor.config())?,
         )?;
-        report.monitor = Some(wal::compact(&wal_dir, &monitor_dir.join("wal"))?);
+        let dumped_root = monitor_dir.join("wal");
+        let reports = (0..monitor.shard_count())
+            .map(|i| {
+                wal::compact(
+                    &monitor.shard_wal_dir(&wal_root, i),
+                    &monitor.shard_wal_dir(&dumped_root, i),
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        report.monitor = Some(merge_reports(reports));
     }
     Ok(report)
 }
@@ -319,43 +258,23 @@ pub fn dump(
 /// Restores a lens (and monitor, when the dump contains one) from a
 /// directory written by [`dump`].
 ///
-/// The dataset is rebuilt from the CSV tables and explicit machine
-/// declarations, the session log replays into the view state
-/// ([`BatchLens::with_session`]), and the monitor — if dumped — is
-/// recovered from the compacted WAL with the dumped configuration. Apply
-/// tail records from a newer live log via
+/// The dataset is reopened from the `dataset/` segments, the session log
+/// replays into the view state ([`BatchLens::with_session`]), and the
+/// monitor — if dumped — is recovered from the compacted WAL with the
+/// dumped configuration. Apply tail records from a newer live log via
 /// [`StreamMonitor::apply_replayed`] to catch the monitor up past the
 /// dump point.
 ///
 /// # Errors
 ///
-/// IO failures reading the dump, malformed tables/JSON, or an invalid
-/// dumped monitor configuration. Corrupt WAL *contents* are not an error —
-/// replay stops at the last intact record and the report says so.
+/// IO failures reading the dump, a missing or corrupt segment payload
+/// ([`RestoreError::Trace`]), malformed JSON, or an invalid dumped monitor
+/// configuration. Corrupt WAL *contents* are not an error — replay stops at
+/// the last intact record and the report says so.
 pub fn restore(dir: &Path) -> Result<RestoredLens, RestoreError> {
     let log = SessionLog::from_json(&read_file(&dir.join("session.json"))?)?;
 
-    // Prefer the columnar segment payload: lazy mmap-backed open, no
-    // re-parse. Dumps from older versions (no `dataset/` directory) fall
-    // back to a streaming parse of the canonical CSVs.
-    let segment_dir = dir.join("dataset");
-    let dataset = if segment_dir.is_dir() {
-        TraceDataset::open(&segment_dir)?
-    } else {
-        let tasks = csv::parse_batch_tasks_reader(open_csv(&dir.join("batch_task.csv"))?)?;
-        let instances =
-            csv::parse_batch_instances_reader(open_csv(&dir.join("batch_instance.csv"))?)?;
-        let usage = csv::parse_server_usage_reader(open_csv(&dir.join("server_usage.csv"))?)?;
-        let events = csv::parse_machine_events_reader(open_csv(&dir.join("machine_events.csv"))?)?;
-        let machines: Vec<(MachineId, MachineInfo)> =
-            serde_json::from_str(&read_file(&dir.join("machines.json"))?)?;
-        let mut builder = TraceDatasetBuilder::new();
-        for (id, info) in machines {
-            builder.declare_machine(id, info);
-        }
-        builder.extend_tables(tasks, instances, usage, events);
-        builder.build()?
-    };
+    let dataset = TraceDataset::open(&dir.join("dataset"))?;
     let lens = BatchLens::with_session(dataset, log);
 
     let monitor_dir = dir.join("monitor");
@@ -379,10 +298,11 @@ pub fn restore(dir: &Path) -> Result<RestoredLens, RestoreError> {
 mod tests {
     use super::*;
     use crate::interaction::Event;
-    use batchlens_trace::wal::{WalConfig, WalWriter};
+    use batchlens_trace::wal::WalConfig;
     use batchlens_trace::{
         BatchInstanceRecord, BatchTaskRecord, DatasetQuery, InstanceStatus, JobId, MachineEvent,
-        MachineEventRecord, TaskId, TaskStatus, Timestamp,
+        MachineEventRecord, MachineId, ServerUsageRecord, TaskId, TaskStatus, Timestamp,
+        TraceDatasetBuilder, UtilizationTriple,
     };
 
     fn temp_dump_dir(tag: &str) -> PathBuf {
@@ -445,18 +365,32 @@ mod tests {
 
     #[test]
     fn dump_restore_round_trips_lens_and_monitor() {
+        for shards in [1, 4] {
+            dump_restore_round_trip(shards);
+        }
+    }
+
+    fn dump_restore_round_trip(shards: usize) {
         let dump_dir = temp_dump_dir("roundtrip");
         let wal_dir = temp_dump_dir("roundtrip-wal");
         let mut lens = sample_lens();
         lens.apply(Event::SelectTimestamp(Timestamp::new(300)));
         lens.apply(Event::SelectJob(JobId::new(1)));
 
-        let monitor = StreamMonitor::new(StreamConfig::default()).unwrap();
-        monitor.attach_wal(WalWriter::open(&wal_dir, WalConfig::default()).unwrap());
+        let cfg = StreamConfig {
+            shards,
+            ..Default::default()
+        };
+        let monitor = StreamMonitor::new(cfg).unwrap();
+        monitor
+            .attach_wal_family(&wal_dir, WalConfig::default())
+            .unwrap();
         for t in 0..6 {
             monitor.ingest(ServerUsageRecord {
                 time: Timestamp::new(t * 60),
-                machine: MachineId::new(1),
+                // Three machines, so a 4-shard monitor logs to several
+                // shards.
+                machine: MachineId::new(1 + (t % 3) as u32),
                 util: UtilizationTriple::clamped(0.95, 0.3, 0.2),
             });
         }
@@ -469,7 +403,7 @@ mod tests {
         );
 
         let report = dump(&dump_dir, &lens, Some(&monitor)).unwrap();
-        assert_eq!(report.rows, [1, 2, 4, 1]);
+        assert_eq!(report.rows, [1, 2, 4, 1, 2]);
         let wal_report = report.monitor.unwrap();
         assert!(wal_report.reason.is_clean());
         assert_eq!(wal_report.records_replayed, 7);
@@ -499,42 +433,46 @@ mod tests {
         }
 
         let rm = restored.monitor.unwrap();
+        assert_eq!(rm.shard_count(), shards);
         assert!(restored.monitor_report.unwrap().reason.is_clean());
         assert_eq!(rm.state_version(), monitor.state_version());
+        assert_eq!(rm.shard_ingested(), monitor.shard_ingested());
         assert_eq!(rm.total_alerts(), monitor.total_alerts());
         assert_eq!(rm.peek_alerts(), monitor.peek_alerts());
         for t in [0, 150, 300] {
             assert_eq!(
                 rm.live_view().frame(Timestamp::new(t)),
                 monitor.live_view().frame(Timestamp::new(t)),
-                "monitor frame({t})"
+                "monitor frame({t}) at {shards} shards"
             );
         }
 
-        // Snapshot plus tail: the live log keeps growing after the dump;
-        // records past the dump's last sequence catch the restored monitor
-        // up to the live one, bit-identically.
-        let last_dumped = wal_report.last_seq.unwrap();
-        monitor.ingest(ServerUsageRecord {
-            time: Timestamp::new(360),
-            machine: MachineId::new(1),
-            util: UtilizationTriple::clamped(0.2, 0.9, 0.1),
-        });
-        monitor.instance_finished(JobId::new(1), TaskId::new(1), 0, Timestamp::new(400));
-        drop(monitor.detach_wal());
-        let mut tail = batchlens_trace::wal::WalReader::open(&wal_dir).unwrap();
-        for (seq, record) in &mut tail {
-            if seq > last_dumped {
-                rm.apply_replayed(record);
+        if shards == 1 {
+            // Snapshot plus tail: the live log keeps growing after the
+            // dump; records past the dump's last sequence catch the
+            // restored monitor up to the live one, bit-identically.
+            let last_dumped = wal_report.last_seq.unwrap();
+            monitor.ingest(ServerUsageRecord {
+                time: Timestamp::new(360),
+                machine: MachineId::new(1),
+                util: UtilizationTriple::clamped(0.2, 0.9, 0.1),
+            });
+            monitor.instance_finished(JobId::new(1), TaskId::new(1), 0, Timestamp::new(400));
+            drop(monitor.detach_wal());
+            let mut tail = batchlens_trace::wal::WalReader::open(&wal_dir).unwrap();
+            for (seq, record) in &mut tail {
+                if seq > last_dumped {
+                    rm.apply_replayed(record);
+                }
             }
-        }
-        assert_eq!(rm.state_version(), monitor.state_version());
-        for t in [300, 360, 400] {
-            assert_eq!(
-                rm.live_view().frame(Timestamp::new(t)),
-                monitor.live_view().frame(Timestamp::new(t)),
-                "caught-up frame({t})"
-            );
+            assert_eq!(rm.state_version(), monitor.state_version());
+            for t in [300, 360, 400] {
+                assert_eq!(
+                    rm.live_view().frame(Timestamp::new(t)),
+                    monitor.live_view().frame(Timestamp::new(t)),
+                    "caught-up frame({t})"
+                );
+            }
         }
 
         fs::remove_dir_all(&dump_dir).ok();
@@ -548,43 +486,13 @@ mod tests {
         let report = dump(&dir, &lens, None).unwrap();
         assert!(report.segments >= 4, "dump must write a segment payload");
         assert!(dir.join("dataset").is_dir());
-
-        // Vandalize the CSVs: a segment-preferring restore never reads them.
-        for table in [
-            "batch_task.csv",
-            "batch_instance.csv",
-            "server_usage.csv",
-            "machine_events.csv",
-        ] {
-            fs::write(dir.join(table), "not,a,valid,table\n").unwrap();
-        }
         let restored = restore(&dir).unwrap();
         assert_eq!(restored.lens.dataset(), lens.dataset());
 
-        // Without the segment payload the same dump falls back to the CSVs
-        // and now reports their corruption.
+        // The segments are the only dataset payload: without them the
+        // restore is a typed error.
         fs::remove_dir_all(dir.join("dataset")).unwrap();
         assert!(matches!(restore(&dir), Err(RestoreError::Trace(_))));
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn csv_fallback_restore_matches_original() {
-        let dir = temp_dump_dir("csv-fallback");
-        let lens = sample_lens();
-        dump(&dir, &lens, None).unwrap();
-        fs::remove_dir_all(dir.join("dataset")).unwrap();
-        let restored = restore(&dir).unwrap();
-        assert_eq!(
-            restored.lens.dataset().instance_records(),
-            lens.dataset().instance_records()
-        );
-        for t in [0, 300, 900] {
-            assert_eq!(
-                restored.lens.dataset().frame(Timestamp::new(t)),
-                lens.dataset().frame(Timestamp::new(t))
-            );
-        }
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -15,7 +15,7 @@
 //! [`batchlens_trace::RollingIntervalIndex`] over live instance execution
 //! windows (insert on completed records, open/close on start/finish events,
 //! windowed eviction behind the event-time frontier) plus rolling per-machine
-//! liveness checkpoints — all under the same single lock as detector ingest.
+//! liveness checkpoints — all under the same shard lock as detector ingest.
 //! [`StreamMonitor::live_view`] exposes that state through
 //! [`batchlens_trace::DatasetQuery`], the exact query surface of a batch
 //! [`batchlens_trace::TraceDataset`]: `jobs_running_at`, `alive_at`,
@@ -24,25 +24,49 @@
 //! workspace `stream_batch_differential` proptest suite proves every shared
 //! query bit-identical between the two sources.
 //!
-//! The monitor is thread-safe — a single `parking_lot` mutex over all
-//! rolling state, taken exactly once per ingest — and pairs with a
-//! `crossbeam` channel for producer/consumer ingest.
+//! The monitor is thread-safe and pairs with a `crossbeam` channel for
+//! producer/consumer ingest. Its state is split into
+//! [`StreamConfig::shards`] partitions by a deterministic hash of the
+//! machine id, each behind its own `parking_lot` mutex taken once per
+//! delivery (once per shard per [`Batch`] epoch):
+//!
+//! * **One shard** (the default): every method goes straight to the shard.
+//!   There is no epoch gate, no fan-out and no second alert ring.
+//! * **N shards**: deliveries for different machines contend on different
+//!   locks, and epochs fan out across shards on the [`batchlens_exec`]
+//!   pool. Everything a machine owns — rolling window, detector bank,
+//!   rolling indexes, WAL log — lives in exactly one shard. The only
+//!   cross-shard structures are the global alert ring (fired alerts
+//!   re-stamped into one monotonic sequence, in record order) and the
+//!   epoch gate that makes [`DatasetQuery::frame`] a **one-version-cut**
+//!   capture: a frame blocks out every in-flight delivery and reads all
+//!   shards at one simultaneous cut, so no consumer ever observes a torn
+//!   epoch. Recovery cuts every shard's log at the highest epoch sealed in
+//!   all of them.
+//!
+//! The workspace `sharded_differential` suite proves a 4-shard monitor
+//! bit-identical to a 1-shard one fed the same deliveries — every query,
+//! frames, counters, and the global alert sequence — at pool widths
+//! {1, 8}, with stragglers and out-of-order arrivals interleaved.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use batchlens_analytics::detect::{
     AnomalyKind, Detector, DetectorState, PairedDetectorState, ThrashingDetector, ThrashingState,
     ThresholdDetector,
 };
-use batchlens_trace::wal::{RecoveryReport, WalError, WalReader, WalRecord, WalWriter};
+use batchlens_trace::wal::{
+    RecoveryReport, WalConfig, WalError, WalReader, WalRecord, WalStopReason, WalWriter,
+};
 use batchlens_trace::{
     BatchInstanceRecord, DatasetQuery, JobId, LivenessDelta, MachineEventRecord, MachineId, Metric,
     QueryFrame, RollingIntervalIndex, RunningDelta, ServerUsageRecord, TaskId, TimeDelta,
     TimeRange, TimeSeries, Timestamp, UtilHold, UtilizationTriple,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use serde::{Deserialize, Serialize};
 
 /// A rolling per-machine window of recent utilization, kept for snapshot
@@ -195,6 +219,11 @@ pub struct StreamConfig {
     /// dropped and counted in [`StreamMonitor::stale_dropped`]. Defaults to
     /// one v2017 reporting period (300 s).
     pub ooo_tolerance: TimeDelta,
+    /// How many machine-hash partitions the monitor's state is split into
+    /// (see the [module docs](self)). Defaults to 1, the single-lock
+    /// monitor; more shards let deliveries for different machines ingest
+    /// in parallel. Must be at least 1.
+    pub shards: usize,
 }
 
 impl Default for StreamConfig {
@@ -207,6 +236,7 @@ impl Default for StreamConfig {
             min_gap: 0.25,
             alert_capacity: 4096,
             ooo_tolerance: TimeDelta::minutes(5),
+            shards: 1,
         }
     }
 }
@@ -238,8 +268,7 @@ pub enum StreamConfigError {
     /// unseen. Poll-style consumers need at least capacity 1; callers that
     /// truly want no retention should drain instead.
     ZeroAlertCapacity,
-    /// A [`crate::shard::ShardedMonitor`] was asked for zero shards: there
-    /// would be nowhere to route any delivery.
+    /// `shards` was zero: there would be nowhere to route any delivery.
     ZeroShards,
 }
 
@@ -283,6 +312,9 @@ impl StreamConfig {
         }
         if self.alert_capacity == 0 {
             return Err(StreamConfigError::ZeroAlertCapacity);
+        }
+        if self.shards == 0 {
+            return Err(StreamConfigError::ZeroShards);
         }
         Ok(())
     }
@@ -423,10 +455,10 @@ impl LiveIndexes {
 /// (`id`), a wall-clock provenance stamp (`created_at`), the payload, and
 /// a `version` that increases monotonically across the batches of one
 /// producer — the epoch number. The version is what multi-log recovery
-/// cuts on: a sharded monitor seals it into every shard's WAL when the
+/// cuts on: an N-shard monitor seals it into every shard's WAL when the
 /// batch finishes applying ([`batchlens_trace::wal::WalRecord::EpochSealed`]),
-/// so [`crate::shard::ShardedMonitor::recover`] can stop all shards at the
-/// highest epoch sealed everywhere.
+/// so [`StreamMonitor::recover`] can stop all shards at the highest epoch
+/// sealed everywhere.
 ///
 /// Construction cost is O(records) to move the payload in; ingesting it is
 /// O(records × detectors) amortized — identical per-record work to
@@ -472,9 +504,72 @@ impl BatchSequencer {
     }
 }
 
-/// Everything the monitor mutates, behind one lock.
+/// A bounded run of fired alerts under one monotonic sequence: each shard's
+/// own ring and, at N shards, the monitor's global ring. Retention is
+/// [`StreamConfig::alert_capacity`], oldest evicted first; the ring always
+/// holds the contiguous run `[base_seq, total)`.
 #[derive(Debug, Default)]
-pub(crate) struct Inner {
+struct AlertRing {
+    alerts: VecDeque<Alert>,
+    /// Alerts fired since construction (drained or not); doubles as the
+    /// next sequence number.
+    total: u64,
+    /// Alerts evicted by capacity before anyone drained them.
+    overflowed: u64,
+}
+
+impl AlertRing {
+    /// Sequence number of the oldest retained alert; equals the next
+    /// sequence to be assigned when the ring is empty.
+    fn base_seq(&self) -> u64 {
+        self.total - self.alerts.len() as u64
+    }
+
+    /// The shared read that both [`StreamMonitor::alerts_since`] and the
+    /// destructive [`StreamMonitor::drain_alerts`] wrap: everything
+    /// retained at or after `seq`, plus cursor bookkeeping.
+    fn alerts_from(&self, seq: u64) -> AlertBatch {
+        let base = self.base_seq();
+        let start = seq.max(base).min(self.total);
+        AlertBatch {
+            alerts: self
+                .alerts
+                .iter()
+                .skip((start - base) as usize)
+                .copied()
+                .collect(),
+            next_seq: self.total,
+            missed: start.saturating_sub(seq),
+        }
+    }
+
+    /// Stamps `alert` with the next sequence number and retains it,
+    /// evicting the oldest alert when the ring holds `capacity`.
+    fn push(&mut self, alert: &mut Alert, capacity: usize) {
+        alert.seq = self.total;
+        self.total += 1;
+        if self.alerts.len() == capacity {
+            self.alerts.pop_front();
+            self.overflowed += 1;
+        }
+        self.alerts.push_back(*alert);
+    }
+
+    /// Retained alerts per machine, parallel to the ascending `machines`.
+    fn anomaly_counts(&self, machines: &[MachineId]) -> Vec<u32> {
+        let mut counts = vec![0u32; machines.len()];
+        for alert in &self.alerts {
+            if let Ok(i) = machines.binary_search(&alert.machine) {
+                counts[i] = counts[i].saturating_add(1);
+            }
+        }
+        counts
+    }
+}
+
+/// Everything one shard mutates, behind its lock.
+#[derive(Debug, Default)]
+struct Inner {
     machines: BTreeMap<MachineId, MachineState>,
     live: LiveIndexes,
     /// Bumped on **every** mutation that could change a query answer
@@ -490,9 +585,7 @@ pub(crate) struct Inner {
     ingested_events: u64,
     /// Fired alerts retained for [`StreamMonitor::drain_alerts`], capped at
     /// [`StreamConfig::alert_capacity`] (oldest dropped first).
-    alerts: VecDeque<Alert>,
-    total_alerts: u64,
-    alerts_overflowed: u64,
+    ring: AlertRing,
     /// The write-ahead log, when attached: every delivery is appended here
     /// **before** it is applied, under this same lock, so append order is
     /// exactly apply order. An epoch is logged as one group, all of it
@@ -504,38 +597,13 @@ pub(crate) struct Inner {
     /// poisoning ingest.
     wal_errors: u64,
     last_wal_error: Option<String>,
-    /// The highest batch epoch sealed into this monitor's log
+    /// The highest batch epoch sealed into this shard's log
     /// ([`WalRecord::EpochSealed`]); `None` before the first sealed batch.
     /// Not query-visible: sealing bumps no version and changes no answer.
     sealed_epoch: Option<u64>,
 }
 
 impl Inner {
-    /// Sequence number of the oldest retained alert; equals the next
-    /// sequence to be assigned when the buffer is empty. The buffer always
-    /// holds the contiguous run `[alert_base_seq, total_alerts)`.
-    fn alert_base_seq(&self) -> u64 {
-        self.total_alerts - self.alerts.len() as u64
-    }
-
-    /// The shared read that both [`StreamMonitor::alerts_since`] and the
-    /// destructive [`StreamMonitor::drain_alerts`] wrap: everything
-    /// retained at or after `seq`, plus cursor bookkeeping.
-    fn alerts_from(&self, seq: u64) -> AlertBatch {
-        let base = self.alert_base_seq();
-        let start = seq.max(base).min(self.total_alerts);
-        AlertBatch {
-            alerts: self
-                .alerts
-                .iter()
-                .skip((start - base) as usize)
-                .copied()
-                .collect(),
-            next_seq: self.total_alerts,
-            missed: start.saturating_sub(seq),
-        }
-    }
-
     /// Appends one delivery to the attached WAL (no-op without one).
     /// Called before the mutation is applied; IO failures are counted, not
     /// propagated — see [`StreamMonitor::wal_errors`].
@@ -566,11 +634,15 @@ impl Inner {
         self.wal_errors += 1;
         self.last_wal_error = Some(e.to_string());
     }
+
+    fn wal_healthy(&self) -> bool {
+        self.wal.is_none() || self.wal_errors == 0
+    }
 }
 
 /// The per-query logic of [`LiveWindowView`], implemented as a
-/// [`DatasetQuery`] **on the locked state itself**: the lock-per-query
-/// [`LiveWindowView`] impl and the single-lock [`DatasetQuery::frame`]
+/// [`DatasetQuery`] **on one shard's locked state**: the lock-per-query
+/// [`LiveWindowView`] answers and the single-lock [`DatasetQuery::frame`]
 /// (inherited as the provided trait method, evaluated entirely under one
 /// lock) share one definition of every answer.
 impl DatasetQuery for Inner {
@@ -701,13 +773,7 @@ impl DatasetQuery for Inner {
         // Counts over the retained alert buffer (the same alerts
         // `drain_alerts`/`alerts_since` serve), so a frame's sidebar overlay
         // agrees exactly with the alert feed captured at the same version.
-        let mut counts = vec![0u32; machines.len()];
-        for alert in &self.alerts {
-            if let Ok(i) = machines.binary_search(&alert.machine) {
-                counts[i] = counts[i].saturating_add(1);
-            }
-        }
-        counts
+        self.ring.anomaly_counts(machines)
     }
 
     // `frame` is inherited as the provided trait method: evaluated on the
@@ -715,11 +781,320 @@ impl DatasetQuery for Inner {
     // exactly the single-lock transactional frame (anomaly counts included).
 }
 
-/// Thread-safe online monitor over live detector banks.
+/// One machine-hash partition of the monitor: its rolling state behind one
+/// lock, and the ingest and apply code that mutates it. A one-shard monitor
+/// is exactly one of these; every method of the monitor goes straight to
+/// it.
+struct Shard {
+    cfg: StreamConfig,
+    /// Detector prototypes, shared by every shard: each machine's
+    /// [`DetectorBank`] builds its own live states from them.
+    detectors: Arc<[Box<dyn Detector>]>,
+    inner: Mutex<Inner>,
+}
+
+impl Shard {
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock()
+    }
+
+    /// Applies one WAL record exactly as the delivery it logged, to this
+    /// shard alone — the replay step of [`StreamMonitor::recover`].
+    fn apply_replayed(&self, record: WalRecord) {
+        match record {
+            WalRecord::Usage(r) => {
+                self.ingest(r);
+            }
+            WalRecord::Instance(r) => self.ingest_instance(r),
+            WalRecord::InstanceStarted {
+                job,
+                task,
+                seq,
+                machine,
+                at,
+            } => self.instance_started(job, task, seq, machine, at),
+            WalRecord::InstanceFinished { job, task, seq, at } => {
+                self.instance_finished(job, task, seq, at);
+            }
+            WalRecord::MachineEvent(r) => self.ingest_machine_event(r),
+            WalRecord::AlertsDrained => {
+                self.drain_alerts();
+            }
+            WalRecord::EpochSealed(version) => self.seal_epoch(version),
+        }
+    }
+
+    fn sync_wal(&self) {
+        let mut inner = self.lock();
+        if let Some(wal) = inner.wal.as_mut() {
+            if let Err(e) = wal.sync() {
+                inner.note_wal_error(e);
+            }
+        }
+    }
+
+    /// See [`StreamMonitor::ingest`].
+    fn ingest(&self, rec: ServerUsageRecord) -> Vec<Alert> {
+        let mut alerts = Vec::new();
+        let mut inner = self.lock();
+        // Logged before applied — and logged even when the record will be
+        // rejected as a straggler, because replaying every *delivery*
+        // (acceptance decisions depend only on prior deliveries) is what
+        // makes recovery reproduce `stale_dropped` and `late_accepted`
+        // exactly.
+        inner.log_wal(&WalRecord::Usage(rec));
+        self.apply_usage(&mut inner, rec, &mut alerts);
+        alerts
+    }
+
+    /// The per-record apply step (no logging), shared verbatim by
+    /// [`Shard::ingest`] (one lock, one record) and the epoch paths (one
+    /// lock, many records) — which is what makes the batch path
+    /// bit-identical to record-at-a-time ingestion, `state_version`
+    /// included.
+    fn apply_usage(&self, inner: &mut Inner, rec: ServerUsageRecord, alerts: &mut Vec<Alert>) {
+        let util = [
+            rec.util.cpu.fraction(),
+            rec.util.mem.fraction(),
+            rec.util.disk.fraction(),
+        ];
+        let state = inner
+            .machines
+            .entry(rec.machine)
+            .or_insert_with(|| MachineState {
+                window: Window::default(),
+                bank: DetectorBank::new(&self.detectors, &self.cfg.thrashing_detector()),
+                last_seen: None,
+            });
+        if let Some(last) = state.last_seen.filter(|&last| rec.time <= last) {
+            // A record exactly `ooo_tolerance` late is still accepted (the
+            // documented "at most" contract — `<=`, not `<`); with
+            // `ooo_tolerance == 0` only duplicates of the newest retained
+            // timestamp reach this comparison, and those fall to the window
+            // duplicate check.
+            if last - rec.time <= self.cfg.ooo_tolerance
+                && state.window.insert(rec.time, util, self.cfg.horizon)
+            {
+                inner.late_accepted += 1;
+                inner.ingested += 1;
+                inner.version += 1;
+            } else {
+                // Rejected stragglers change no query answer: the version
+                // stays put so memoized frames survive them.
+                inner.stale_dropped += 1;
+            }
+            return;
+        }
+        state.last_seen = Some(rec.time);
+        state.window.insert(rec.time, util, self.cfg.horizon);
+        let fired_from = alerts.len();
+        state.bank.ingest(rec.machine, rec.time, util, alerts);
+        inner.ingested += 1;
+        inner.version += 1;
+        // Retain fired alerts for consumers that poll (UI overlays) rather
+        // than inspect each ingest's return value, each stamped with its
+        // monotonic firing sequence number as it is retained — the
+        // invariant [`StreamMonitor::alerts_since`] relies on. Only the
+        // alerts this record fired are stamped: in batch mode `alerts`
+        // accumulates across the epoch's records.
+        for alert in alerts[fired_from..].iter_mut() {
+            inner.ring.push(alert, self.cfg.alert_capacity);
+        }
+    }
+
+    /// See [`StreamMonitor::ingest_batch`].
+    fn ingest_batch(&self, batch: &Batch) -> Vec<Alert> {
+        let mut alerts = Vec::new();
+        let mut inner = self.lock();
+        inner.log_wal_epoch(batch.records.iter().copied(), batch.version);
+        for &rec in &batch.records {
+            self.apply_usage(&mut inner, rec, &mut alerts);
+        }
+        inner.sealed_epoch = Some(batch.version);
+        alerts
+    }
+
+    /// The N-shard fan-out step: ingests this shard's slice of an epoch
+    /// under one lock, tagging every fired alert with the **batch-global**
+    /// index of the record that fired it (so the monitor can merge shard
+    /// outputs back into exact record order), then seals `epoch`. Logged
+    /// as one group before it is applied, like [`Shard::ingest_batch`].
+    fn apply_batch_part(&self, part: &[(u32, ServerUsageRecord)], epoch: u64) -> Vec<(u32, Alert)> {
+        let mut tagged = Vec::new();
+        let mut alerts = Vec::new();
+        let mut inner = self.lock();
+        inner.log_wal_epoch(part.iter().map(|&(_, rec)| rec), epoch);
+        for &(idx, rec) in part {
+            self.apply_usage(&mut inner, rec, &mut alerts);
+            tagged.extend(alerts.drain(..).map(|a| (idx, a)));
+        }
+        inner.sealed_epoch = Some(epoch);
+        tagged
+    }
+
+    fn seal_epoch(&self, epoch: u64) {
+        let mut inner = self.lock();
+        inner.log_wal(&WalRecord::EpochSealed(epoch));
+        inner.sealed_epoch = Some(epoch);
+    }
+
+    /// See [`StreamMonitor::ingest_instance`].
+    fn ingest_instance(&self, rec: BatchInstanceRecord) {
+        let mut inner = self.lock();
+        let inner = &mut *inner;
+        inner.log_wal(&WalRecord::Instance(rec));
+        let live = &mut inner.live;
+        live.known_machines.insert(rec.machine);
+        if let Some(id) = live.open_instances.remove(&(rec.job, rec.task, rec.seq)) {
+            live.intervals.remove(id);
+            live.free_ids.push(id);
+        }
+        if rec.start_time < rec.end_time {
+            let id = live.alloc_id((rec.job, rec.task, rec.machine));
+            live.intervals.insert(rec.start_time, rec.end_time, id);
+        }
+        inner.ingested_instances += 1;
+        inner.version += 1;
+        live.advance(rec.end_time.max(rec.start_time), self.cfg.horizon);
+    }
+
+    /// See [`StreamMonitor::instance_started`].
+    fn instance_started(
+        &self,
+        job: JobId,
+        task: TaskId,
+        seq: u32,
+        machine: MachineId,
+        at: Timestamp,
+    ) {
+        let mut inner = self.lock();
+        let inner = &mut *inner;
+        inner.log_wal(&WalRecord::InstanceStarted {
+            job,
+            task,
+            seq,
+            machine,
+            at,
+        });
+        let live = &mut inner.live;
+        live.known_machines.insert(machine);
+        if let Some(&id) = live.open_instances.get(&(job, task, seq)) {
+            live.intervals.remove(id);
+            live.free_ids.push(id);
+        }
+        let id = live.alloc_id((job, task, machine));
+        live.intervals.open(at, id);
+        live.open_instances.insert((job, task, seq), id);
+        inner.ingested_instances += 1;
+        inner.version += 1;
+        live.advance(at, self.cfg.horizon);
+    }
+
+    /// See [`StreamMonitor::instance_finished`].
+    fn instance_finished(&self, job: JobId, task: TaskId, seq: u32, at: Timestamp) -> bool {
+        let mut inner = self.lock();
+        let inner = &mut *inner;
+        // Logged even when no matching start exists: the no-op outcome is
+        // itself deterministic on replay.
+        inner.log_wal(&WalRecord::InstanceFinished { job, task, seq, at });
+        let live = &mut inner.live;
+        let Some(id) = live.open_instances.remove(&(job, task, seq)) else {
+            return false;
+        };
+        match live.intervals.close(id, at) {
+            Some(start) if start < at => {}
+            // Closed empty (or the id was unexpectedly gone): the id is free
+            // immediately rather than via eviction.
+            _ => live.free_ids.push(id),
+        }
+        inner.version += 1;
+        live.advance(at, self.cfg.horizon);
+        true
+    }
+
+    /// See [`StreamMonitor::ingest_machine_event`].
+    fn ingest_machine_event(&self, rec: MachineEventRecord) {
+        let mut inner = self.lock();
+        let inner = &mut *inner;
+        inner.log_wal(&WalRecord::MachineEvent(rec));
+        let live = &mut inner.live;
+        live.known_machines.insert(rec.machine);
+        let alive = rec.event.keeps_alive();
+        let checkpoints = live.liveness.entry(rec.machine).or_default();
+        // Events sharing a timestamp merge dead-wins — the same
+        // arrival-order-independent tie-break the batch index applies, so
+        // out-of-order delivery of equal-time events cannot diverge from it.
+        let pos = checkpoints.partition_point(|&(t, _)| t < rec.time);
+        match checkpoints.get_mut(pos) {
+            Some((t, a)) if *t == rec.time => *a = *a && alive,
+            _ => checkpoints.insert(pos, (rec.time, alive)),
+        }
+        // Bound the rolling list: checkpoints wholly behind the window are
+        // compressed sample-and-hold — drop everything before the last one
+        // at or behind the cutoff, which alone decides liveness there. Done
+        // per machine on its own (rare) event arrivals, so advance() stays
+        // O(evicted) on the hot ingest paths.
+        if let Some(frontier) = live.frontier {
+            let cutoff = frontier - self.cfg.horizon;
+            let keep_from = checkpoints
+                .partition_point(|&(t, _)| t <= cutoff)
+                .saturating_sub(1);
+            checkpoints.drain(..keep_from);
+        }
+        inner.ingested_events += 1;
+        inner.version += 1;
+    }
+
+    /// See [`StreamMonitor::drain_alerts`].
+    fn drain_alerts(&self) -> Vec<Alert> {
+        let mut inner = self.lock();
+        // Draining an empty buffer mutates nothing, so it is not logged:
+        // an idle poller must not grow the log (or force rotation and
+        // compaction churn) by polling.
+        if inner.ring.alerts.is_empty() {
+            return Vec::new();
+        }
+        // Non-empty drains mutate recoverable state (the buffer empties),
+        // so they are logged — otherwise a recovered monitor would
+        // re-surface alerts the pre-crash consumer already took.
+        inner.log_wal(&WalRecord::AlertsDrained);
+        inner.ring.alerts.drain(..).collect()
+    }
+}
+
+/// Thread-safe online monitor over live detector banks, partitioned into
+/// [`StreamConfig::shards`] machine-hash shards.
+///
+/// # Complexity contract
+///
+/// * At one shard (the default) every method goes straight to that shard:
+///   one lock acquisition per delivery, one per epoch, one per query.
+/// * Routing is O(1) per delivery (an FNV-1a hash of the machine id, fixed
+///   across runs and platforms — shard layouts are stable).
+/// * At N shards, [`StreamMonitor::ingest_batch`] partitions O(records),
+///   then runs the per-shard epoch slices concurrently on the
+///   [`batchlens_exec`] pool: one lock acquisition **per shard per
+///   epoch**, per-record work identical to one shard.
+/// * Collection queries loop over the shards on the calling thread and
+///   merge sorted per-shard answers — O(answer log answer).
+/// * Point queries (`util_at`, `alive_at`, `series_window`, `util_hold`)
+///   route to the owning shard.
+/// * At N shards, [`DatasetQuery::frame`] takes the epoch gate exclusively
+///   and captures all shards at one simultaneous version cut — no
+///   delivery (single-record or batch) can be half-visible in it.
 pub struct StreamMonitor {
     cfg: StreamConfig,
-    detectors: Vec<Box<dyn Detector>>,
-    inner: Mutex<Inner>,
+    shards: Vec<Shard>,
+    /// Pool width for the N-shard epoch fan-out (0 = the
+    /// `BATCHLENS_THREADS` process default).
+    threads: usize,
+    /// N shards only: deliveries hold this shared, a frame capture holds
+    /// it exclusively — the "no torn epoch" rule.
+    epoch_gate: RwLock<()>,
+    /// N shards only: every alert any shard fires, re-stamped with the
+    /// **global** sequence number in the order the records that fired them
+    /// were delivered. At one shard the shard's own ring is the ring.
+    ring: Mutex<AlertRing>,
 }
 
 impl std::fmt::Debug for StreamMonitor {
@@ -728,9 +1103,13 @@ impl std::fmt::Debug for StreamMonitor {
             .field("cfg", &self.cfg)
             .field(
                 "detectors",
-                &self.detectors.iter().map(|d| d.name()).collect::<Vec<_>>(),
+                &self.shards[0]
+                    .detectors
+                    .iter()
+                    .map(|d| d.name())
+                    .collect::<Vec<_>>(),
             )
-            .field("tracked_machines", &self.inner.lock().machines.len())
+            .field("tracked_machines", &self.tracked_machines())
             .finish()
     }
 }
@@ -777,6 +1156,39 @@ impl From<WalError> for RecoverError {
     }
 }
 
+/// Folds per-shard-log reports into one: replayed records, discarded bytes
+/// and segments sum, the reason is the first non-clean one, and `last_seq`
+/// survives only for a single log (sequence numbers are per log).
+pub(crate) fn merge_reports(mut reports: Vec<RecoveryReport>) -> RecoveryReport {
+    if reports.len() == 1 {
+        return reports.remove(0);
+    }
+    RecoveryReport {
+        records_replayed: reports.iter().map(|r| r.records_replayed).sum(),
+        bytes_discarded: reports.iter().map(|r| r.bytes_discarded).sum(),
+        reason: reports
+            .iter()
+            .map(|r| r.reason)
+            .find(|r| !r.is_clean())
+            .unwrap_or(WalStopReason::Clean),
+        last_seq: None,
+        segments: reports.iter().map(|r| r.segments).sum(),
+    }
+}
+
+/// Deterministic total order over alert kinds for the N-shard recovery
+/// merge (`AnomalyKind` is non-exhaustive and unordered upstream).
+fn kind_rank(kind: AnomalyKind) -> u8 {
+    match kind {
+        AnomalyKind::HighUtilization => 0,
+        AnomalyKind::Outlier => 1,
+        AnomalyKind::Deviation => 2,
+        AnomalyKind::EndSpike => 3,
+        AnomalyKind::Thrashing => 4,
+        _ => u8::MAX,
+    }
+}
+
 impl StreamMonitor {
     /// Creates a monitor with the default single-series detector set: a
     /// threshold kernel at `cfg.high` per metric (plus the implied paired
@@ -796,7 +1208,9 @@ impl StreamMonitor {
 
     /// Creates a monitor running `detectors` on every metric of every
     /// machine — any batch [`Detector`] streams unchanged, because batch
-    /// detection *is* the streaming kernel.
+    /// detection *is* the streaming kernel. The detectors are prototypes:
+    /// every machine's bank, in every shard, builds its own live states
+    /// from them.
     ///
     /// # Errors
     ///
@@ -807,39 +1221,83 @@ impl StreamMonitor {
         detectors: Vec<Box<dyn Detector>>,
     ) -> Result<Self, StreamConfigError> {
         cfg.validate()?;
+        let detectors: Arc<[Box<dyn Detector>]> = detectors.into();
+        let shards = (0..cfg.shards)
+            .map(|_| Shard {
+                cfg,
+                detectors: Arc::clone(&detectors),
+                inner: Mutex::new(Inner::default()),
+            })
+            .collect();
         Ok(StreamMonitor {
             cfg,
-            detectors,
-            inner: Mutex::new(Inner::default()),
+            shards,
+            threads: 0,
+            epoch_gate: RwLock::new(()),
+            ring: Mutex::new(AlertRing::default()),
         })
     }
 
-    /// Rebuilds a monitor from the write-ahead log in `dir`, with the
-    /// default detector set of [`StreamMonitor::new`].
+    /// Pins the N-shard epoch fan-out pool width (0 restores the
+    /// `BATCHLENS_THREADS` process default). Determinism does not depend on
+    /// it — only wall-clock does.
+    pub fn with_threads(mut self, threads: usize) -> StreamMonitor {
+        self.threads = threads;
+        self
+    }
+
+    /// Rebuilds a monitor from the write-ahead log under `dir`, with the
+    /// default detector set of [`StreamMonitor::new`]. `cfg` (shard count
+    /// included) must equal the pre-crash configuration; it is not stored
+    /// in the log.
     ///
-    /// Replay applies every intact logged delivery through the normal
-    /// ingest paths, so the recovered monitor reaches the **exact pre-crash
-    /// state**: `state_version`, every counter (including straggler
-    /// rejections), window contents and evictions, detector kernel states,
-    /// and the alert buffer are all bit-identical to the monitor that wrote
-    /// the log — the workspace `crash_recovery_differential` suite enforces
-    /// this for arbitrary kill points.
+    /// **One shard:** `dir` is the log. Replay applies every intact logged
+    /// delivery through the normal ingest paths, so the recovered monitor
+    /// reaches the **exact pre-crash state**: `state_version`, every
+    /// counter (including straggler rejections), window contents and
+    /// evictions, detector kernel states, and the alert buffer are all
+    /// bit-identical to the monitor that wrote the log — the workspace
+    /// `crash_recovery_differential` suite enforces this for arbitrary kill
+    /// points. There is no peer log to agree with, so the whole intact log
+    /// replays, record-at-a-time deliveries after the last sealed epoch
+    /// and the intact prefix of a torn epoch included.
+    ///
+    /// **N shards:** `dir` holds one log per shard
+    /// ([`StreamMonitor::shard_wal_dir`]), and each shard replays its own
+    /// log into itself alone. When every shard's log carries at least one
+    /// sealed epoch ([`WalRecord::EpochSealed`]), replay is cut at the
+    /// **highest epoch sealed everywhere**: shards whose logs ran ahead
+    /// stop at the cut marker and their tail records are read but not
+    /// applied, so the recovered shards agree on which epochs happened —
+    /// the consistent version cut. Without a common frontier every shard
+    /// replays its full intact log. The global alert ring is rebuilt from
+    /// the recovered shard rings, merged in deterministic `(at, machine,
+    /// metric, kind, severity)` order and re-stamped with contiguous
+    /// sequence numbers ending at the recovered
+    /// [`StreamMonitor::total_alerts`]; afterwards
+    /// [`StreamMonitor::alerts_overflowed`] counts every fired-but-not-
+    /// retained alert (evicted *or* drained pre-crash). The per-shard logs
+    /// do not record cross-shard arrival order, so the global numbering is
+    /// deterministic but reconstructed from timestamps.
     ///
     /// Recovery **degrades gracefully, never panics**: a torn final record,
-    /// a truncated segment, or a corrupted body stops replay at the last
-    /// intact record, and the returned [`RecoveryReport`] says how many
-    /// records were replayed, how many bytes were discarded, and why
-    /// ([`batchlens_trace::wal::WalStopReason`]). `cfg` must equal the
-    /// pre-crash configuration; it is not stored in the log.
+    /// a truncated segment, or a corrupted body stops that log's replay at
+    /// its last intact record. The returned [`RecoveryReport`] says how many
+    /// records were applied, how many bytes were discarded, and why
+    /// ([`batchlens_trace::wal::WalStopReason`]); at N shards it sums the
+    /// shard logs' reports (see its fields), and records past the epoch cut
+    /// are not counted as replayed.
     ///
     /// The recovered monitor has **no WAL attached** — attach a resumed
     /// writer (`WalWriter::open` on the same directory truncates the torn
-    /// tail) via [`StreamMonitor::attach_wal`] to continue logging.
+    /// tail) via [`StreamMonitor::attach_wal`], or
+    /// [`StreamMonitor::attach_wal_family`] on the same root, to continue
+    /// logging.
     ///
     /// # Errors
     ///
     /// [`RecoverError::Config`] for an invalid `cfg`, [`RecoverError::Wal`]
-    /// for OS-level IO failures reading the log. Corrupt log **contents**
+    /// for OS-level IO failures reading a log. Corrupt log **contents**
     /// are not an error.
     pub fn recover(
         dir: &Path,
@@ -864,18 +1322,106 @@ impl StreamMonitor {
         detectors: Vec<Box<dyn Detector>>,
     ) -> Result<(StreamMonitor, RecoveryReport), RecoverError> {
         let monitor = StreamMonitor::with_detectors(cfg, detectors)?;
-        let mut reader = WalReader::open(dir)?;
-        for (_, record) in &mut reader {
-            monitor.apply_replayed(record);
-        }
-        Ok((monitor, reader.report()))
+        let report = if monitor.shards.len() == 1 {
+            let mut reader = WalReader::open(dir)?;
+            for (_, record) in &mut reader {
+                monitor.shards[0].apply_replayed(record);
+            }
+            reader.report()
+        } else {
+            monitor.replay_family(dir)?
+        };
+        Ok((monitor, report))
     }
 
-    /// Applies one WAL record exactly as the live delivery it logged —
-    /// the replay step of [`StreamMonitor::recover`], public so a
-    /// snapshot-plus-tail restore can feed the tail of a newer log into a
-    /// recovered monitor. If a WAL is attached, the applied record is
-    /// logged again (it is a fresh delivery from this monitor's view).
+    /// The N-shard replay of [`StreamMonitor::recover`]: the consistent
+    /// epoch cut, per-shard replay, and the global ring rebuild.
+    fn replay_family(&self, root: &Path) -> Result<RecoveryReport, WalError> {
+        // Pass 1: each shard's sealed-epoch frontier. The cut exists only
+        // when every shard sealed something.
+        let mut frontiers: Vec<Option<u64>> = Vec::with_capacity(self.shards.len());
+        for i in 0..self.shards.len() {
+            let mut last = None;
+            let mut reader = WalReader::open(&self.shard_wal_dir(root, i))?;
+            for (_, record) in &mut reader {
+                if let WalRecord::EpochSealed(v) = record {
+                    last = Some(v);
+                }
+            }
+            frontiers.push(last);
+        }
+        let epoch_cut = frontiers
+            .into_iter()
+            .collect::<Option<Vec<u64>>>()
+            .and_then(|f| f.into_iter().min());
+
+        // Pass 2: replay every shard's log into that shard alone, stopping
+        // after its cut marker. A finish event is already in every log (it
+        // was broadcast on delivery), so it is applied once per shard, as
+        // it was live.
+        let mut reports = Vec::with_capacity(self.shards.len());
+        let mut beyond = 0u64;
+        for (i, shard) in self.shards.iter().enumerate() {
+            let mut reader = WalReader::open(&self.shard_wal_dir(root, i))?;
+            let mut stopped = false;
+            for (_, record) in &mut reader {
+                if stopped {
+                    beyond += 1;
+                    continue;
+                }
+                let at_cut = matches!(
+                    (epoch_cut, &record),
+                    (Some(cut), WalRecord::EpochSealed(v)) if *v >= cut
+                );
+                shard.apply_replayed(record);
+                stopped = at_cut;
+            }
+            reports.push(reader.report());
+        }
+
+        // Rebuild the global ring from the recovered shard rings.
+        let mut merged: Vec<Alert> = self
+            .shards
+            .iter()
+            .flat_map(|s| s.lock().ring.alerts.iter().copied().collect::<Vec<_>>())
+            .collect();
+        merged.sort_by_key(|a| {
+            (
+                a.at,
+                a.machine,
+                a.metric.index(),
+                kind_rank(a.kind),
+                a.severity.to_bits(),
+                a.value.to_bits(),
+                a.seq,
+            )
+        });
+        let total: u64 = self.sum(|inner| inner.ring.total);
+        if merged.len() > self.cfg.alert_capacity {
+            let excess = merged.len() - self.cfg.alert_capacity;
+            merged.drain(..excess);
+        }
+        let base = total - merged.len() as u64;
+        for (k, alert) in merged.iter_mut().enumerate() {
+            alert.seq = base + k as u64;
+        }
+        *self.ring.lock() = AlertRing {
+            alerts: merged.into(),
+            total,
+            overflowed: base,
+        };
+
+        let mut report = merge_reports(reports);
+        report.records_replayed -= beyond;
+        Ok(report)
+    }
+
+    /// Applies one WAL record exactly as the live delivery it logged, public
+    /// so a snapshot-plus-tail restore can feed the tail of a newer log
+    /// into a recovered one-shard monitor. The record is a *delivery*: at N
+    /// shards it routes like one (a finish event broadcasts to every
+    /// shard). If a WAL is attached, the applied record is logged again (it
+    /// is a fresh delivery from this monitor's view).
     pub fn apply_replayed(&self, record: WalRecord) {
         match record {
             WalRecord::Usage(r) => {
@@ -900,32 +1446,144 @@ impl StreamMonitor {
         }
     }
 
-    /// Attaches a write-ahead log: from now on every delivery is appended
-    /// (under the monitor lock, **before** it is applied) so the monitor
-    /// can be rebuilt bit-identically by [`StreamMonitor::recover`].
-    /// Returns the previously attached writer, if any.
-    pub fn attach_wal(&self, writer: WalWriter) -> Option<WalWriter> {
-        self.inner.lock().wal.replace(writer)
+    /// Number of shards ([`StreamConfig::shards`]).
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
     }
 
-    /// Detaches and returns the write-ahead log writer, leaving the monitor
-    /// unlogged.
+    /// The shard owning `machine` — FNV-1a over the raw id, modulo the
+    /// shard count. Fixed across runs, platforms and restarts: a machine's
+    /// state (and its WAL records) always lives in the same shard for a
+    /// given shard count.
+    pub fn shard_of(&self, machine: MachineId) -> usize {
+        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const PRIME: u64 = 0x0100_0000_01b3;
+        if self.shards.len() == 1 {
+            return 0;
+        }
+        let mut h = OFFSET;
+        for b in machine.raw().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(PRIME);
+        }
+        (h % self.shards.len() as u64) as usize
+    }
+
+    fn owner(&self, machine: MachineId) -> &Shard {
+        &self.shards[self.shard_of(machine)]
+    }
+
+    /// The one shard of a one-shard monitor: the path every method takes
+    /// first, with no epoch gate, fan-out or global ring.
+    fn single(&self) -> Option<&Shard> {
+        match &self.shards[..] {
+            [shard] => Some(shard),
+            _ => None,
+        }
+    }
+
+    /// Sums a per-shard counter (machine sets are disjoint, so every sum is
+    /// exact).
+    fn sum(&self, f: impl Fn(&Inner) -> u64) -> u64 {
+        self.shards.iter().map(|s| f(&s.lock())).sum()
+    }
+
+    /// Reads the alert ring consumers see: the one shard's own at one
+    /// shard, the global ring at N.
+    fn with_ring<R>(&self, f: impl FnOnce(&AlertRing) -> R) -> R {
+        match self.single() {
+            Some(shard) => f(&shard.lock().ring),
+            None => f(&self.ring.lock()),
+        }
+    }
+
+    /// Re-stamps freshly fired N-shard alerts with the global monotonic
+    /// sequence and retains them in the global ring, preserving
+    /// `alert_capacity` semantics exactly as one shard does.
+    fn retain(&self, alerts: &mut [Alert]) {
+        if alerts.is_empty() {
+            return;
+        }
+        let mut ring = self.ring.lock();
+        for alert in alerts.iter_mut() {
+            ring.push(alert, self.cfg.alert_capacity);
+        }
+    }
+
+    /// The log directory of shard `i` under a WAL family root: the root
+    /// itself at one shard, `root/shard-NNN` at N shards. This is the
+    /// layout [`StreamMonitor::attach_wal_family`] writes and
+    /// [`StreamMonitor::recover`] reads.
+    pub fn shard_wal_dir(&self, root: &Path, i: usize) -> PathBuf {
+        if self.shards.len() == 1 {
+            root.to_path_buf()
+        } else {
+            root.join(format!("shard-{i:03}"))
+        }
+    }
+
+    /// Attaches a write-ahead log to a one-shard monitor: from now on every
+    /// delivery is appended (under the shard lock, **before** it is
+    /// applied) so the monitor can be rebuilt bit-identically by
+    /// [`StreamMonitor::recover`]. Returns the previously attached writer,
+    /// if any.
+    ///
+    /// # Panics
+    ///
+    /// When the monitor has more than one shard: each shard logs to its
+    /// own directory, so attach a family with
+    /// [`StreamMonitor::attach_wal_family`] instead.
+    pub fn attach_wal(&self, writer: WalWriter) -> Option<WalWriter> {
+        let shard = self
+            .single()
+            .expect("attach_wal needs one shard; use attach_wal_family");
+        shard.lock().wal.replace(writer)
+    }
+
+    /// Attaches one WAL per shard under `root`, in the
+    /// [`StreamMonitor::shard_wal_dir`] layout. Every shard's deliveries —
+    /// and every sealed epoch — are logged to its own segment family; the
+    /// global alert sequence is not logged (recovery reconstructs it
+    /// deterministically).
+    ///
+    /// # Errors
+    ///
+    /// [`WalError`] when any shard's directory cannot be opened; no writer
+    /// is attached in that case.
+    pub fn attach_wal_family(&self, root: &Path, cfg: WalConfig) -> Result<(), WalError> {
+        let writers = (0..self.shards.len())
+            .map(|i| WalWriter::open(&self.shard_wal_dir(root, i), cfg))
+            .collect::<Result<Vec<_>, _>>()?;
+        for (shard, writer) in self.shards.iter().zip(writers) {
+            shard.lock().wal = Some(writer);
+        }
+        Ok(())
+    }
+
+    /// Detaches every shard's write-ahead log, leaving the monitor
+    /// unlogged, and returns shard 0's writer (the only one at one shard).
     pub fn detach_wal(&self) -> Option<WalWriter> {
-        self.inner.lock().wal.take()
+        for shard in &self.shards[1..] {
+            shard.lock().wal.take();
+        }
+        self.shards[0].lock().wal.take()
     }
 
     /// Whether a WAL is currently attached.
     pub fn wal_attached(&self) -> bool {
-        self.inner.lock().wal.is_some()
+        self.shards.iter().any(|s| s.lock().wal.is_some())
     }
 
-    /// The directory of the attached WAL, if one is attached.
-    pub fn wal_dir(&self) -> Option<std::path::PathBuf> {
-        self.inner
-            .lock()
-            .wal
-            .as_ref()
-            .map(|w| w.dir().to_path_buf())
+    /// The root of the attached WAL family, if one is attached: the log
+    /// directory itself at one shard, the directory holding the
+    /// `shard-NNN` logs at N shards.
+    pub fn wal_dir(&self) -> Option<PathBuf> {
+        let dir = self.shards[0].lock().wal.as_ref()?.dir().to_path_buf();
+        if self.shards.len() == 1 {
+            Some(dir)
+        } else {
+            dir.parent().map(Path::to_path_buf)
+        }
     }
 
     /// The monitor's configuration.
@@ -933,40 +1591,49 @@ impl StreamMonitor {
         &self.cfg
     }
 
-    /// Forces the attached WAL to stable storage (`fsync`); a no-op without
-    /// one. IO failures are counted like failed appends.
+    /// Forces every attached WAL to stable storage (`fsync`); a no-op
+    /// without one. IO failures are counted like failed appends.
     pub fn sync_wal(&self) {
-        let mut inner = self.inner.lock();
-        if let Some(wal) = inner.wal.as_mut() {
-            if let Err(e) = wal.sync() {
-                inner.note_wal_error(e);
-            }
+        for shard in &self.shards {
+            shard.sync_wal();
         }
     }
 
-    /// WAL appends/syncs that failed at the IO layer since construction.
-    /// A record-at-a-time delivery that fails to log counts one; an epoch
-    /// ([`StreamMonitor::ingest_batch`]) is logged as one group, so a failed
-    /// epoch counts one however many records it carried. Monitoring keeps
-    /// running through log failures (a full disk must not stop detection);
-    /// a non-zero count means the log has gaps and a recovery from it would
-    /// be correspondingly behind.
+    /// WAL appends/syncs that failed at the IO layer since construction,
+    /// summed across shards. A record-at-a-time delivery that fails to log
+    /// counts one; an epoch ([`StreamMonitor::ingest_batch`]) is logged as
+    /// one group per shard, so a failed group counts one however many
+    /// records it carried. Monitoring keeps running through log failures (a
+    /// full disk must not stop detection); a non-zero count means the log
+    /// has gaps and a recovery from it would be correspondingly behind.
     pub fn wal_errors(&self) -> u64 {
-        self.inner.lock().wal_errors
+        self.sum(|inner| inner.wal_errors)
     }
 
-    /// The most recent WAL IO failure, rendered, if any.
+    /// Failed WAL appends/syncs **per shard**, ascending by shard index (one
+    /// entry at one shard) — the readiness probe's view: one unhealthy
+    /// shard degrades the whole monitor.
+    pub fn shard_wal_errors(&self) -> Vec<u64> {
+        self.shards.iter().map(|s| s.lock().wal_errors).collect()
+    }
+
+    /// The most recent WAL IO failure, rendered, if any (the lowest shard
+    /// index that has one, at N shards).
     pub fn last_wal_error(&self) -> Option<String> {
-        self.inner.lock().last_wal_error.clone()
+        self.shards
+            .iter()
+            .find_map(|s| s.lock().last_wal_error.clone())
     }
 
     /// Whether the durability layer is trustworthy right now: `true` when
-    /// no WAL is attached (nothing promised) or the attached log has taken
-    /// zero IO errors. Readiness probes gate on this — a monitor with WAL
-    /// gaps keeps serving but should stop attracting new traffic.
+    /// no WAL is attached (nothing promised) or every attached shard log
+    /// has taken zero IO errors. Readiness probes gate on this — a monitor
+    /// with WAL gaps keeps serving but should stop attracting new traffic.
+    /// One shard with log gaps makes the monitor unhealthy: a recovery
+    /// would lose that shard's machines while keeping the others, which is
+    /// exactly the torn state the consistent cut exists to prevent.
     pub fn wal_healthy(&self) -> bool {
-        let inner = self.inner.lock();
-        inner.wal.is_none() || inner.wal_errors == 0
+        self.shards.iter().all(|s| s.lock().wal_healthy())
     }
 
     /// Ingests one usage record, returning the alerts it triggers (empty
@@ -980,85 +1647,22 @@ impl StreamMonitor {
     /// and cannot rewind. Later stragglers, and duplicates of a retained
     /// timestamp, are dropped and counted in
     /// [`StreamMonitor::stale_dropped`] — never silently ignored.
+    ///
+    /// At N shards the record routes to the shard owning its machine, and
+    /// any fired alerts are re-stamped into the global sequence.
     pub fn ingest(&self, rec: ServerUsageRecord) -> Vec<Alert> {
-        let mut alerts = Vec::new();
-        let mut inner = self.inner.lock();
-        // Logged before applied — and logged even when the record will be
-        // rejected as a straggler, because replaying every *delivery*
-        // (acceptance decisions depend only on prior deliveries) is what
-        // makes recovery reproduce `stale_dropped` and `late_accepted`
-        // exactly.
-        inner.log_wal(&WalRecord::Usage(rec));
-        self.apply_usage(&mut inner, rec, &mut alerts);
+        if let Some(shard) = self.single() {
+            return shard.ingest(rec);
+        }
+        let _gate = self.epoch_gate.read();
+        let mut alerts = self.owner(rec.machine).ingest(rec);
+        self.retain(&mut alerts);
         alerts
     }
 
-    /// The per-record apply step (no logging), shared verbatim by
-    /// [`StreamMonitor::ingest`] (one lock, one record) and
-    /// [`StreamMonitor::ingest_batch`] (one lock, many records) — which is
-    /// what makes the batch path bit-identical to record-at-a-time
-    /// ingestion, `state_version` included.
-    fn apply_usage(&self, inner: &mut Inner, rec: ServerUsageRecord, alerts: &mut Vec<Alert>) {
-        let util = [
-            rec.util.cpu.fraction(),
-            rec.util.mem.fraction(),
-            rec.util.disk.fraction(),
-        ];
-        let state = inner
-            .machines
-            .entry(rec.machine)
-            .or_insert_with(|| MachineState {
-                window: Window::default(),
-                bank: DetectorBank::new(&self.detectors, &self.cfg.thrashing_detector()),
-                last_seen: None,
-            });
-        if let Some(last) = state.last_seen.filter(|&last| rec.time <= last) {
-            // A record exactly `ooo_tolerance` late is still accepted (the
-            // documented "at most" contract — `<=`, not `<`); with
-            // `ooo_tolerance == 0` only duplicates of the newest retained
-            // timestamp reach this comparison, and those fall to the window
-            // duplicate check.
-            if last - rec.time <= self.cfg.ooo_tolerance
-                && state.window.insert(rec.time, util, self.cfg.horizon)
-            {
-                inner.late_accepted += 1;
-                inner.ingested += 1;
-                inner.version += 1;
-            } else {
-                // Rejected stragglers change no query answer: the version
-                // stays put so memoized frames survive them.
-                inner.stale_dropped += 1;
-            }
-            return;
-        }
-        state.last_seen = Some(rec.time);
-        state.window.insert(rec.time, util, self.cfg.horizon);
-        let fired_from = alerts.len();
-        state.bank.ingest(rec.machine, rec.time, util, alerts);
-        inner.ingested += 1;
-        inner.version += 1;
-        // Retain fired alerts for consumers that poll (UI overlays) rather
-        // than inspect each ingest's return value. Each alert is stamped
-        // with its monotonic firing sequence number as it is retained
-        // (`total_alerts` doubles as the next sequence number), so the
-        // buffer always holds one contiguous run of sequence numbers —
-        // the invariant [`StreamMonitor::alerts_since`] relies on. Only the
-        // alerts this record fired are stamped: in batch mode `alerts`
-        // accumulates across the epoch's records.
-        for alert in alerts[fired_from..].iter_mut() {
-            alert.seq = inner.total_alerts;
-            inner.total_alerts += 1;
-            if inner.alerts.len() == self.cfg.alert_capacity {
-                inner.alerts.pop_front();
-                inner.alerts_overflowed += 1;
-            }
-            inner.alerts.push_back(*alert);
-        }
-    }
-
-    /// Ingests a sealed [`Batch`] under **one** lock acquisition, returning
-    /// every alert the epoch fired (in record order), and seals the batch's
-    /// epoch `version` ([`WalRecord::EpochSealed`]).
+    /// Ingests a sealed [`Batch`] under **one** lock acquisition per shard,
+    /// returning every alert the epoch fired (in record order), and seals
+    /// the batch's epoch `version` ([`WalRecord::EpochSealed`]).
     ///
     /// **Group commit:** under that same lock, the epoch's records and its
     /// seal are first logged to the attached WAL as one group
@@ -1078,55 +1682,52 @@ impl StreamMonitor {
     /// itself: a batch-logged WAL additionally carries the epoch seal,
     /// which replays as a no-op on query-visible state.
     ///
+    /// At N shards the records are partitioned by owning shard and every
+    /// shard's slice is applied concurrently on the [`batchlens_exec`]
+    /// pool; the version is sealed into **every** shard's log (including
+    /// shards that carried no records this epoch, so all epoch frontiers
+    /// advance in lockstep), and the fired alerts are re-stamped into the
+    /// global sequence **in delivery order** — bit-identical to one shard.
+    ///
     /// Cost: O(records × detectors) amortized, one lock round-trip per
-    /// epoch instead of one per record.
+    /// shard per epoch instead of one per record.
     pub fn ingest_batch(&self, batch: &Batch) -> Vec<Alert> {
-        let mut alerts = Vec::new();
-        let mut inner = self.inner.lock();
-        inner.log_wal_epoch(batch.records.iter().copied(), batch.version);
-        for &rec in &batch.records {
-            self.apply_usage(&mut inner, rec, &mut alerts);
+        if let Some(shard) = self.single() {
+            return shard.ingest_batch(batch);
         }
-        inner.sealed_epoch = Some(batch.version);
+        let _gate = self.epoch_gate.read();
+        let mut parts: Vec<Vec<(u32, ServerUsageRecord)>> = vec![Vec::new(); self.shards.len()];
+        for (idx, &rec) in batch.records.iter().enumerate() {
+            parts[self.shard_of(rec.machine)].push((idx as u32, rec));
+        }
+        let per_shard = batchlens_exec::run_indexed(self.threads, self.shards.len(), |i| {
+            self.shards[i].apply_batch_part(&parts[i], batch.version)
+        });
+        let mut tagged: Vec<(u32, Alert)> = per_shard.into_iter().flatten().collect();
+        // Stable by delivery index: within one record, firing order is
+        // already the kernel's (preserved per shard slice).
+        tagged.sort_by_key(|&(idx, _)| idx);
+        let mut alerts: Vec<Alert> = tagged.into_iter().map(|(_, a)| a).collect();
+        self.retain(&mut alerts);
         alerts
     }
 
-    /// The sharded fan-out step: ingests one shard's slice of an epoch
-    /// under one lock, tagging every fired alert with the **batch-global**
-    /// index of the record that fired it (so the facade can merge shard
-    /// outputs back into exact record order), then seals `epoch`. Logged
-    /// as one group before it is applied, like [`StreamMonitor::ingest_batch`].
-    pub(crate) fn apply_batch_part(
-        &self,
-        part: &[(u32, ServerUsageRecord)],
-        epoch: u64,
-    ) -> Vec<(u32, Alert)> {
-        let mut tagged = Vec::new();
-        let mut alerts = Vec::new();
-        let mut inner = self.inner.lock();
-        inner.log_wal_epoch(part.iter().map(|&(_, rec)| rec), epoch);
-        for &(idx, rec) in part {
-            self.apply_usage(&mut inner, rec, &mut alerts);
-            tagged.extend(alerts.drain(..).map(|a| (idx, a)));
-        }
-        inner.sealed_epoch = Some(epoch);
-        tagged
-    }
-
-    /// Seals `epoch` into the attached WAL without ingesting anything —
-    /// the marker a multi-log writer appends to logs that carried no
-    /// records this epoch, so every log's sealed-epoch frontier still
-    /// advances in lockstep. Not query-visible (no version bump).
+    /// Seals `epoch` into every shard's WAL without ingesting anything.
+    /// Not query-visible (no version bump).
     pub fn seal_epoch(&self, epoch: u64) {
-        let mut inner = self.inner.lock();
-        inner.log_wal(&WalRecord::EpochSealed(epoch));
-        inner.sealed_epoch = Some(epoch);
+        for shard in &self.shards {
+            shard.seal_epoch(epoch);
+        }
     }
 
-    /// The highest batch epoch sealed into this monitor (live or via
+    /// The highest batch epoch sealed into every shard (live or via
     /// replay), if any.
     pub fn sealed_epoch(&self) -> Option<u64> {
-        self.inner.lock().sealed_epoch
+        self.shards
+            .iter()
+            .map(|s| s.lock().sealed_epoch)
+            .min()
+            .flatten()
     }
 
     /// Ingests many records, collecting every alert.
@@ -1139,43 +1740,39 @@ impl StreamMonitor {
 
     /// Number of records ingested so far (stragglers excluded).
     pub fn ingested(&self) -> u64 {
-        self.inner.lock().ingested
+        self.sum(|inner| inner.ingested)
+    }
+
+    /// Records ingested per shard, ascending by shard index (one entry at
+    /// one shard) — the routing balance of sharded ingestion.
+    pub fn shard_ingested(&self) -> Vec<u64> {
+        self.shards.iter().map(|s| s.lock().ingested).collect()
     }
 
     /// Number of out-of-order records dropped so far (beyond
     /// [`StreamConfig::ooo_tolerance`], or duplicating a retained sample).
     pub fn stale_dropped(&self) -> u64 {
-        self.inner.lock().stale_dropped
+        self.sum(|inner| inner.stale_dropped)
     }
 
     /// Number of out-of-order records accepted into the rolling window
     /// within [`StreamConfig::ooo_tolerance`].
     pub fn late_accepted(&self) -> u64 {
-        self.inner.lock().late_accepted
+        self.sum(|inner| inner.late_accepted)
     }
 
     /// Ingests one completed `batch_instance` record into the rolling
-    /// interval index — O(log n), under the same single lock as usage
-    /// ingest. Empty windows (`end <= start`) are accepted and never match
-    /// a query, exactly as in the batch dataset. Re-ingesting an instance
-    /// key that is currently open replaces the open interval.
+    /// interval index of the shard owning its machine — O(log n), under the
+    /// same lock as usage ingest. Empty windows (`end <= start`) are
+    /// accepted and never match a query, exactly as in the batch dataset.
+    /// Re-ingesting an instance key that is currently open replaces the
+    /// open interval.
     pub fn ingest_instance(&self, rec: BatchInstanceRecord) {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        inner.log_wal(&WalRecord::Instance(rec));
-        let live = &mut inner.live;
-        live.known_machines.insert(rec.machine);
-        if let Some(id) = live.open_instances.remove(&(rec.job, rec.task, rec.seq)) {
-            live.intervals.remove(id);
-            live.free_ids.push(id);
+        if let Some(shard) = self.single() {
+            return shard.ingest_instance(rec);
         }
-        if rec.start_time < rec.end_time {
-            let id = live.alloc_id((rec.job, rec.task, rec.machine));
-            live.intervals.insert(rec.start_time, rec.end_time, id);
-        }
-        inner.ingested_instances += 1;
-        inner.version += 1;
-        live.advance(rec.end_time.max(rec.start_time), self.cfg.horizon);
+        let _gate = self.epoch_gate.read();
+        self.owner(rec.machine).ingest_instance(rec);
     }
 
     /// Bulk-ingests completed instance records.
@@ -1201,52 +1798,32 @@ impl StreamMonitor {
         machine: MachineId,
         at: Timestamp,
     ) {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        inner.log_wal(&WalRecord::InstanceStarted {
-            job,
-            task,
-            seq,
-            machine,
-            at,
-        });
-        let live = &mut inner.live;
-        live.known_machines.insert(machine);
-        if let Some(&id) = live.open_instances.get(&(job, task, seq)) {
-            live.intervals.remove(id);
-            live.free_ids.push(id);
+        if let Some(shard) = self.single() {
+            return shard.instance_started(job, task, seq, machine, at);
         }
-        let id = live.alloc_id((job, task, machine));
-        live.intervals.open(at, id);
-        live.open_instances.insert((job, task, seq), id);
-        inner.ingested_instances += 1;
-        inner.version += 1;
-        live.advance(at, self.cfg.horizon);
+        let _gate = self.epoch_gate.read();
+        self.owner(machine)
+            .instance_started(job, task, seq, machine, at);
     }
 
     /// Closes the open interval of instance `(job, task, seq)` at `at` —
     /// O(log n). Returns `false` (and changes nothing) when no matching
     /// start was seen; an end at or before the recorded start drops the
     /// interval as empty, matching batch semantics.
+    ///
+    /// A finish event names no machine, so at N shards it is
+    /// **broadcast**: every shard logs the delivery (deterministic on
+    /// replay) and only the shard holding the open interval applies it.
     pub fn instance_finished(&self, job: JobId, task: TaskId, seq: u32, at: Timestamp) -> bool {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        // Logged even when no matching start exists: the no-op outcome is
-        // itself deterministic on replay.
-        inner.log_wal(&WalRecord::InstanceFinished { job, task, seq, at });
-        let live = &mut inner.live;
-        let Some(id) = live.open_instances.remove(&(job, task, seq)) else {
-            return false;
-        };
-        match live.intervals.close(id, at) {
-            Some(start) if start < at => {}
-            // Closed empty (or the id was unexpectedly gone): the id is free
-            // immediately rather than via eviction.
-            _ => live.free_ids.push(id),
+        if let Some(shard) = self.single() {
+            return shard.instance_finished(job, task, seq, at);
         }
-        inner.version += 1;
-        live.advance(at, self.cfg.horizon);
-        true
+        let _gate = self.epoch_gate.read();
+        let mut closed = false;
+        for shard in &self.shards {
+            closed |= shard.instance_finished(job, task, seq, at);
+        }
+        closed
     }
 
     /// Ingests one machine lifecycle event as a rolling liveness checkpoint
@@ -1255,53 +1832,29 @@ impl StreamMonitor {
     /// the batch dataset's: a machine is alive after an event unless it was
     /// `Remove`/`HardError`; machines without events count alive.
     pub fn ingest_machine_event(&self, rec: MachineEventRecord) {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        inner.log_wal(&WalRecord::MachineEvent(rec));
-        let live = &mut inner.live;
-        live.known_machines.insert(rec.machine);
-        let alive = rec.event.keeps_alive();
-        let checkpoints = live.liveness.entry(rec.machine).or_default();
-        // Events sharing a timestamp merge dead-wins — the same
-        // arrival-order-independent tie-break the batch index applies, so
-        // out-of-order delivery of equal-time events cannot diverge from it.
-        let pos = checkpoints.partition_point(|&(t, _)| t < rec.time);
-        match checkpoints.get_mut(pos) {
-            Some((t, a)) if *t == rec.time => *a = *a && alive,
-            _ => checkpoints.insert(pos, (rec.time, alive)),
+        if let Some(shard) = self.single() {
+            return shard.ingest_machine_event(rec);
         }
-        // Bound the rolling list: checkpoints wholly behind the window are
-        // compressed sample-and-hold — drop everything before the last one
-        // at or behind the cutoff, which alone decides liveness there. Done
-        // per machine on its own (rare) event arrivals, so advance() stays
-        // O(evicted) on the hot ingest paths.
-        if let Some(frontier) = live.frontier {
-            let cutoff = frontier - self.cfg.horizon;
-            let keep_from = checkpoints
-                .partition_point(|&(t, _)| t <= cutoff)
-                .saturating_sub(1);
-            checkpoints.drain(..keep_from);
-        }
-        inner.ingested_events += 1;
-        inner.version += 1;
+        let _gate = self.epoch_gate.read();
+        self.owner(rec.machine).ingest_machine_event(rec);
     }
 
     /// Number of instance records/start events ingested into the rolling
     /// index so far.
     pub fn ingested_instances(&self) -> u64 {
-        self.inner.lock().ingested_instances
+        self.sum(|inner| inner.ingested_instances)
     }
 
     /// Number of machine lifecycle events ingested so far.
     pub fn ingested_events(&self) -> u64 {
-        self.inner.lock().ingested_events
+        self.sum(|inner| inner.ingested_events)
     }
 
     /// Number of liveness checkpoints currently retained for `machine` —
     /// observability for the rolling compression (checkpoints wholly behind
     /// the window collapse to the single deciding one).
     pub fn liveness_checkpoint_count(&self, machine: MachineId) -> usize {
-        self.inner
+        self.owner(machine)
             .lock()
             .live
             .liveness
@@ -1312,12 +1865,12 @@ impl StreamMonitor {
     /// Number of instance intervals currently indexed in the live window
     /// (open + closed, evicted excluded).
     pub fn live_instances(&self) -> usize {
-        self.inner.lock().live.intervals.len()
+        self.sum(|inner| inner.live.intervals.len() as u64) as usize
     }
 
     /// A [`DatasetQuery`] view over the live rolling window: the same
     /// snapshot-query surface as a batch `TraceDataset`, served by the
-    /// rolling indexes (each call takes the monitor lock briefly; results
+    /// rolling indexes (each call takes the shard locks briefly; results
     /// are point-in-time snapshots). Drive `HierarchySnapshot::at`,
     /// `CoallocationIndex::at` or any other generic consumer directly from
     /// a live monitor with it.
@@ -1332,15 +1885,20 @@ impl StreamMonitor {
     /// live query answers exactly as it did before, which is what lets
     /// consumers memoize snapshots on `(version, timestamp)` and advance
     /// delta scrubbers without a rebase while the monitor idles.
+    ///
+    /// At N shards it is the sum of the shard versions: each accepted
+    /// delivery bumps exactly one shard by exactly what one shard would
+    /// bump, so the sum equals the one-shard version over the same
+    /// deliveries, and it is monotone under concurrent reads.
     pub fn state_version(&self) -> u64 {
-        self.inner.lock().version
+        self.sum(|inner| inner.version)
     }
 
     /// Number of alerts currently retained in the buffer — O(1), no clone;
     /// the cheap per-frame probe an overlay should use to decide whether
     /// anything new fired before asking for the alerts themselves.
     pub fn alerts_len(&self) -> usize {
-        self.inner.lock().alerts.len()
+        self.with_ring(|ring| ring.alerts.len())
     }
 
     /// Takes every retained alert out of the buffer (oldest first),
@@ -1353,21 +1911,20 @@ impl StreamMonitor {
     /// clearing. Multiple concurrent consumers should hold cursors and use
     /// `alerts_since` instead — a drain makes every other cursor observe
     /// the taken alerts as [`AlertBatch::missed`].
+    ///
+    /// At N shards the per-shard rings are drained too, so the take is
+    /// durable: each shard logs its (non-empty) drain, and a recovery
+    /// rebuilds an empty global ring rather than re-surfacing alerts this
+    /// consumer already took.
     pub fn drain_alerts(&self) -> Vec<Alert> {
-        let mut inner = self.inner.lock();
-        // Draining an empty buffer mutates nothing, so it is not logged:
-        // an idle poller must not grow the log (or force rotation and
-        // compaction churn) by polling.
-        if inner.alerts.is_empty() {
-            return Vec::new();
+        if let Some(shard) = self.single() {
+            return shard.drain_alerts();
         }
-        // Non-empty drains mutate recoverable state (the buffer empties),
-        // so they are logged — otherwise a recovered monitor would
-        // re-surface alerts the pre-crash consumer already took.
-        inner.log_wal(&WalRecord::AlertsDrained);
-        let batch = inner.alerts_from(inner.alert_base_seq());
-        inner.alerts.clear();
-        batch.alerts
+        let _gate = self.epoch_gate.read();
+        for shard in &self.shards {
+            shard.drain_alerts();
+        }
+        self.ring.lock().alerts.drain(..).collect()
     }
 
     /// Non-destructive cursor read: every retained alert with `seq >= seq`
@@ -1381,14 +1938,14 @@ impl StreamMonitor {
     /// [`StreamMonitor::next_alert_seq`] to see only alerts fired from now
     /// on.
     pub fn alerts_since(&self, seq: u64) -> AlertBatch {
-        self.inner.lock().alerts_from(seq)
+        self.with_ring(|ring| ring.alerts_from(seq))
     }
 
     /// The sequence number the next fired alert will carry — the starting
     /// position for a cursor that wants only future alerts. Equal to
     /// [`StreamMonitor::total_alerts`].
     pub fn next_alert_seq(&self) -> u64 {
-        self.inner.lock().total_alerts
+        self.with_ring(|ring| ring.total)
     }
 
     /// A copy of the currently retained alerts (oldest first) **without**
@@ -1397,38 +1954,33 @@ impl StreamMonitor {
     /// prefer [`StreamMonitor::drain_alerts`], which hands each alert out
     /// exactly once.
     pub fn peek_alerts(&self) -> Vec<Alert> {
-        self.inner.lock().alerts.iter().copied().collect()
+        self.with_ring(|ring| ring.alerts.iter().copied().collect())
     }
 
     /// Total alerts fired since construction (drained or not).
     pub fn total_alerts(&self) -> u64 {
-        self.inner.lock().total_alerts
+        self.with_ring(|ring| ring.total)
     }
 
     /// Retained alerts concerning `machine` — one lock acquisition and an
     /// O(len) walk of the alert buffer per call. A dashboard sidebar that
     /// needs every machine's count next to a frame should read
     /// [`batchlens_trace::QueryFrame::anomaly_count`] instead: the frame
-    /// carries all counts from a single lock acquisition, consistent with
-    /// the rest of the frame.
+    /// carries all counts from a single capture, consistent with the rest
+    /// of the frame.
     pub fn machine_alert_count(&self, machine: MachineId) -> u32 {
-        self.inner
-            .lock()
-            .alerts
-            .iter()
-            .filter(|a| a.machine == machine)
-            .count() as u32
+        self.with_ring(|ring| ring.alerts.iter().filter(|a| a.machine == machine).count() as u32)
     }
 
     /// Alerts evicted because the buffer was full before a drain (see
     /// [`StreamConfig::alert_capacity`]).
     pub fn alerts_overflowed(&self) -> u64 {
-        self.inner.lock().alerts_overflowed
+        self.with_ring(|ring| ring.overflowed)
     }
 
     /// The latest utilization known for a machine, if any.
     pub fn latest(&self, machine: MachineId) -> Option<[f64; 3]> {
-        self.inner
+        self.owner(machine)
             .lock()
             .machines
             .get(&machine)
@@ -1438,7 +1990,7 @@ impl StreamMonitor {
 
     /// The current rolling series for a machine/metric (a snapshot copy).
     pub fn series(&self, machine: MachineId, metric: Metric) -> Option<TimeSeries> {
-        self.inner
+        self.owner(machine)
             .lock()
             .machines
             .get(&machine)
@@ -1447,53 +1999,73 @@ impl StreamMonitor {
 
     /// Number of machines currently tracked.
     pub fn tracked_machines(&self) -> usize {
-        self.inner.lock().machines.len()
+        self.sum(|inner| inner.machines.len() as u64) as usize
     }
 
-    /// The locked rolling state, for the sharded facade's one-version-cut
-    /// frame capture: [`Inner`] implements [`DatasetQuery`], so a caller
-    /// holding several shards' guards can answer every query from one
-    /// simultaneous cut.
-    pub(crate) fn lock_inner(&self) -> parking_lot::MutexGuard<'_, Inner> {
-        self.inner.lock()
-    }
-}
-
-/// A retained-alert buffer that cursors can poll: the shared surface of
-/// [`StreamMonitor`] (one ring) and
-/// [`crate::shard::ShardedMonitor`] (per-shard rings merged into one global
-/// sequence). Consumers that only poll — serving-layer alert cursors —
-/// accept any `AlertSource` instead of naming a monitor type.
-pub trait AlertSource: Send + Sync {
-    /// Non-destructive cursor read; see [`StreamMonitor::alerts_since`].
-    fn alerts_since(&self, seq: u64) -> AlertBatch;
-    /// The sequence number the next fired alert will carry; see
-    /// [`StreamMonitor::next_alert_seq`].
-    fn next_alert_seq(&self) -> u64;
-}
-
-impl AlertSource for StreamMonitor {
-    fn alerts_since(&self, seq: u64) -> AlertBatch {
-        StreamMonitor::alerts_since(self, seq)
+    /// A collection query answered per shard: straight from the one shard
+    /// at one shard; at N shards the per-shard answers (disjoint machine
+    /// sets) are concatenated and sorted — and deduplicated when `dedup`,
+    /// for answers such as job ids that can repeat across shards.
+    fn merged<T: Ord>(&self, dedup: bool, f: impl Fn(&Inner) -> Vec<T>) -> Vec<T> {
+        if let Some(shard) = self.single() {
+            return f(&shard.lock());
+        }
+        let mut out: Vec<T> = self.shards.iter().flat_map(|s| f(&s.lock())).collect();
+        out.sort_unstable();
+        if dedup {
+            out.dedup();
+        }
+        out
     }
 
-    fn next_alert_seq(&self) -> u64 {
-        StreamMonitor::next_alert_seq(self)
+    /// The N-shard one-version-cut frame: holds the epoch gate exclusively
+    /// (no delivery — single-record or batch — is in flight anywhere),
+    /// locks every shard, and answers the whole frame from that
+    /// simultaneous cut. The frame's version is the summed shard version at
+    /// the cut, so `(version, timestamp)` stays a sound memoization key.
+    fn frame_at_cut(&self, at: Timestamp) -> QueryFrame {
+        let _gate = self.epoch_gate.write();
+        let guards: Vec<_> = self.shards.iter().map(Shard::lock).collect();
+        let version: u64 = guards.iter().map(|g| g.version).sum();
+        let mut machines: Vec<MachineId> = guards.iter().flat_map(|g| g.machine_ids()).collect();
+        machines.sort_unstable();
+        machines.dedup();
+        let alive = machines
+            .iter()
+            .map(|&m| guards[self.shard_of(m)].alive_at(m, at))
+            .collect();
+        let utils = machines
+            .iter()
+            .map(|&m| guards[self.shard_of(m)].util_at(m, at))
+            .collect();
+        let mut triples: Vec<(JobId, TaskId, MachineId)> = guards
+            .iter()
+            .flat_map(|g| g.running_triples_at(at))
+            .collect();
+        triples.sort_unstable();
+        // Anomaly counts come from the global ring under the same gate: it
+        // retains exactly the alerts one shard's ring would over the same
+        // deliveries, so the per-machine counts match bit for bit.
+        let anomalies = self.ring.lock().anomaly_counts(&machines);
+        QueryFrame::with_anomalies(at, version, triples, machines, alive, utils, anomalies)
     }
 }
 
 /// A [`DatasetQuery`] view over a [`StreamMonitor`]'s live rolling window.
 ///
-/// Each query takes the monitor's single lock for its duration and answers
+/// Each query takes the shard locks it needs for its duration and answers
 /// from the rolling indexes — the structural queries are O(log n + k) in the
 /// live window's interval/checkpoint counts, mirroring the batch dataset's
-/// indexed bounds; **no query scans the window**. Because the monitor keeps
-/// ingesting, two calls can see different states; within one call the result
-/// is a consistent snapshot.
+/// indexed bounds; **no query scans the window**. Collection queries at N
+/// shards loop over the shards on the calling thread and merge; point
+/// queries route to the owning shard. Because the monitor keeps ingesting,
+/// two calls can see different states; within one call the result is a
+/// consistent snapshot.
 ///
 /// The `stream_batch_differential` workspace suite proves each query
 /// bit-identical to the batch [`batchlens_trace::TraceDataset`]
-/// implementation over the same records.
+/// implementation over the same records, and `sharded_differential` proves
+/// every answer identical at shard counts 1 and 4.
 #[derive(Debug, Clone, Copy)]
 pub struct LiveWindowView<'a> {
     monitor: &'a StreamMonitor,
@@ -1501,27 +2073,35 @@ pub struct LiveWindowView<'a> {
 
 impl DatasetQuery for LiveWindowView<'_> {
     fn machine_ids(&self) -> Vec<MachineId> {
-        self.monitor.inner.lock().machine_ids()
+        self.monitor.merged(true, Inner::machine_ids)
     }
 
     fn jobs_running_at(&self, t: Timestamp) -> Vec<JobId> {
-        self.monitor.inner.lock().jobs_running_at(t)
+        // Jobs span machines, so per-shard job lists can overlap.
+        self.monitor.merged(true, |inner| inner.jobs_running_at(t))
     }
 
     fn running_triples_at(&self, t: Timestamp) -> Vec<(JobId, TaskId, MachineId)> {
-        self.monitor.inner.lock().running_triples_at(t)
+        self.monitor
+            .merged(false, |inner| inner.running_triples_at(t))
+    }
+
+    fn machines_active_at(&self, t: Timestamp) -> Vec<MachineId> {
+        self.monitor
+            .merged(true, |inner| inner.machines_active_at(t))
     }
 
     fn running_instance_count_at(&self, t: Timestamp) -> usize {
-        self.monitor.inner.lock().running_instance_count_at(t)
+        self.monitor
+            .sum(|inner| inner.running_instance_count_at(t) as u64) as usize
     }
 
     fn alive_at(&self, machine: MachineId, t: Timestamp) -> bool {
-        self.monitor.inner.lock().alive_at(machine, t)
+        self.monitor.owner(machine).lock().alive_at(machine, t)
     }
 
     fn util_at(&self, machine: MachineId, t: Timestamp) -> Option<UtilizationTriple> {
-        self.monitor.inner.lock().util_at(machine, t)
+        self.monitor.owner(machine).lock().util_at(machine, t)
     }
 
     fn series_window(
@@ -1531,46 +2111,80 @@ impl DatasetQuery for LiveWindowView<'_> {
         window: &TimeRange,
     ) -> Option<TimeSeries> {
         self.monitor
-            .inner
+            .owner(machine)
             .lock()
             .series_window(machine, metric, window)
     }
 
     fn state_version(&self) -> u64 {
-        self.monitor.inner.lock().state_version()
+        self.monitor.state_version()
     }
 
     fn util_hold(&self, machine: MachineId, t: Timestamp) -> UtilHold {
-        self.monitor.inner.lock().util_hold(machine, t)
+        self.monitor.owner(machine).lock().util_hold(machine, t)
     }
 
     fn anomaly_counts(&self, machines: &[MachineId]) -> Vec<u32> {
-        self.monitor.inner.lock().anomaly_counts(machines)
+        self.monitor.with_ring(|ring| ring.anomaly_counts(machines))
     }
 
     /// The rolling-index delta — O(log n + Δ log Δ) under one lock
-    /// acquisition. Only meaningful paired with an unchanged
+    /// acquisition per shard. Only meaningful paired with an unchanged
     /// [`DatasetQuery::state_version`]: the monitor may ingest between two
     /// calls, and a delta across a version change mixes states.
     fn running_delta(&self, t0: Timestamp, t1: Timestamp) -> RunningDelta {
-        self.monitor.inner.lock().running_delta(t0, t1)
+        if let Some(shard) = self.monitor.single() {
+            return shard.lock().running_delta(t0, t1);
+        }
+        // Same-triple handoffs share a machine, hence a shard: every
+        // cancellation already happened shard-locally, and the merged
+        // sides are disjoint sorted sets.
+        let mut entered = Vec::new();
+        let mut exited = Vec::new();
+        for shard in &self.monitor.shards {
+            let d = shard.lock().running_delta(t0, t1);
+            entered.extend(d.entered);
+            exited.extend(d.exited);
+        }
+        entered.sort_unstable();
+        exited.sort_unstable();
+        RunningDelta { entered, exited }
     }
 
     /// The checkpoint-scan liveness delta — touches only machines with a
     /// rolling liveness checkpoint inside the hop, under one lock
-    /// acquisition. Same version-pairing caveat as
+    /// acquisition per shard. Same version-pairing caveat as
     /// [`DatasetQuery::running_delta`].
     fn liveness_delta(&self, t0: Timestamp, t1: Timestamp) -> LivenessDelta {
-        self.monitor.inner.lock().liveness_delta(t0, t1)
+        if let Some(shard) = self.monitor.single() {
+            return shard.lock().liveness_delta(t0, t1);
+        }
+        let mut activated = Vec::new();
+        let mut deactivated = Vec::new();
+        for shard in &self.monitor.shards {
+            let d = shard.lock().liveness_delta(t0, t1);
+            activated.extend(d.activated);
+            deactivated.extend(d.deactivated);
+        }
+        activated.sort_unstable();
+        deactivated.sort_unstable();
+        LivenessDelta {
+            activated,
+            deactivated,
+        }
     }
 
-    /// The **single-lock transactional frame**: every probe of the frame —
-    /// running triples, liveness, utilization, the version stamp — is
-    /// answered under one lock acquisition, so concurrent ingest can never
-    /// slide the window between the sub-answers the way it can when the
-    /// queries are issued individually.
+    /// The **transactional frame**: every probe of the frame — running
+    /// triples, liveness, utilization, anomaly counts, the version stamp —
+    /// is answered from one state, so concurrent ingest can never slide the
+    /// window between the sub-answers the way it can when the queries are
+    /// issued individually. At one shard that is one lock acquisition; at
+    /// N shards it is the one-version cut across all shards.
     fn frame(&self, at: Timestamp) -> QueryFrame {
-        self.monitor.inner.lock().frame(at)
+        match self.monitor.single() {
+            Some(shard) => shard.lock().frame(at),
+            None => self.monitor.frame_at_cut(at),
+        }
     }
 }
 
@@ -2687,6 +3301,16 @@ mod tests {
             .collect();
         m.ingest_batch(&sequencer.seal(Timestamp::new(2_400), records[..20].to_vec()));
         m.ingest_batch(&sequencer.seal(Timestamp::new(4_800), records[20..].to_vec()));
+        // Record-at-a-time deliveries after the last seal: one shard has no
+        // peer log to cut against, so recovery must replay them too.
+        m.ingest(rec(0, 2_400, 0.97, 0.3, 0.3));
+        m.instance_started(
+            batchlens_trace::JobId::new(1),
+            batchlens_trace::TaskId::new(1),
+            0,
+            MachineId::new(1),
+            Timestamp::new(2_400),
+        );
         assert_eq!(m.sealed_epoch(), Some(2));
         drop(m.detach_wal());
 
@@ -2695,11 +3319,186 @@ mod tests {
         assert_eq!(r.sealed_epoch(), Some(2), "epoch frontier survives replay");
         assert_eq!(r.state_version(), m.state_version());
         assert_eq!(r.ingested(), m.ingested());
+        assert_eq!(r.live_instances(), m.live_instances());
         assert_eq!(r.peek_alerts(), m.peek_alerts());
         assert_eq!(
             r.series(MachineId::new(1), Metric::Cpu),
             m.series(MachineId::new(1), Metric::Cpu)
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn four_shards() -> StreamMonitor {
+        StreamMonitor::new(StreamConfig {
+            shards: 4,
+            ..Default::default()
+        })
+        .unwrap()
+    }
+
+    /// Recursively copies a WAL family directory (shard subdirs + files).
+    fn copy_dir(src: &Path, dst: &Path) {
+        std::fs::create_dir_all(dst).unwrap();
+        for entry in std::fs::read_dir(src).unwrap() {
+            let entry = entry.unwrap();
+            let to = dst.join(entry.file_name());
+            if entry.file_type().unwrap().is_dir() {
+                copy_dir(&entry.path(), &to);
+            } else {
+                std::fs::copy(entry.path(), &to).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn zero_shards_is_a_config_error() {
+        let err = StreamMonitor::new(StreamConfig {
+            shards: 0,
+            ..Default::default()
+        })
+        .unwrap_err();
+        assert_eq!(err, StreamConfigError::ZeroShards);
+        assert!(err.to_string().contains("shard"));
+    }
+
+    #[test]
+    fn routing_is_deterministic_and_covers_every_shard() {
+        let m = four_shards();
+        let mut hit = [false; 4];
+        for id in 0..256 {
+            let s = m.shard_of(MachineId::new(id));
+            assert!(s < 4);
+            assert_eq!(s, m.shard_of(MachineId::new(id)), "routing is stable");
+            hit[s] = true;
+        }
+        assert!(hit.iter().all(|&h| h), "256 ids must land in all 4 shards");
+        // The layout is pinned: FNV-1a over the LE machine-id bytes. A
+        // silent hash change would orphan every existing shard WAL family.
+        assert_eq!(m.shard_of(MachineId::new(0)), 1);
+        assert_eq!(m.shard_of(MachineId::new(1)), 0);
+        assert_eq!(m.shard_of(MachineId::new(2)), 3);
+        // One shard owns everything, and its log is the family root.
+        let one = StreamMonitor::new(StreamConfig::default()).unwrap();
+        assert_eq!(one.shard_of(MachineId::new(0)), 0);
+        let root = Path::new("wal");
+        assert_eq!(one.shard_wal_dir(root, 0), root);
+        assert_eq!(m.shard_wal_dir(root, 2), root.join("shard-002"));
+    }
+
+    #[test]
+    fn torn_epoch_recovery_cuts_at_the_common_frontier() {
+        use batchlens_trace::wal::WalConfig;
+        let cfg = StreamConfig {
+            shards: 2,
+            ..Default::default()
+        };
+        let sequencer = BatchSequencer::new();
+        let live = temp_wal_dir("torn-live");
+        let torn = temp_wal_dir("torn-crash");
+
+        let m = StreamMonitor::new(cfg).unwrap();
+        m.attach_wal_family(&live, WalConfig::default()).unwrap();
+        // Machines covering both shards.
+        let covering: Vec<u32> = {
+            let mut ids = vec![];
+            let mut seen = [false; 2];
+            for id in 0..16 {
+                let s = m.shard_of(MachineId::new(id));
+                if !seen[s] {
+                    seen[s] = true;
+                    ids.push(id);
+                }
+            }
+            assert_eq!(ids.len(), 2);
+            ids
+        };
+        let epoch1: Vec<ServerUsageRecord> = covering
+            .iter()
+            .flat_map(|&id| (0..10).map(move |k| rec(id, k * 60, 0.4, 0.3, 0.3)))
+            .collect();
+        m.ingest_batch(&sequencer.seal(Timestamp::new(600), epoch1.clone()));
+        m.sync_wal();
+        // Crash point: every shard sealed epoch 1. Snapshot the family.
+        copy_dir(&live, &torn);
+
+        let epoch2: Vec<ServerUsageRecord> = covering
+            .iter()
+            .flat_map(|&id| (10..20).map(move |k| rec(id, k * 60, 0.4, 0.3, 0.3)))
+            .collect();
+        m.ingest_batch(&sequencer.seal(Timestamp::new(1_200), epoch2));
+        m.sync_wal();
+        drop(m.detach_wal());
+        // Shard 0's log survived through epoch 2; shard 1's lost the tail
+        // (the snapshot). The recovered state must NOT include epoch 2
+        // anywhere — the cut is the highest epoch sealed *everywhere*.
+        let behind = m.shard_wal_dir(&torn, 0);
+        std::fs::remove_dir_all(&behind).unwrap();
+        copy_dir(&m.shard_wal_dir(&live, 0), &behind);
+
+        let (r, report) = StreamMonitor::recover(&torn, cfg).unwrap();
+        assert!(report.reason.is_clean());
+        // Applied: epoch 1's 20 records plus one seal per shard. Shard 0's
+        // epoch-2 tail was read but not applied.
+        assert_eq!(report.records_replayed, 22);
+        assert_eq!(report.last_seq, None, "sequence numbers are per log");
+        // Reference: a fresh 2-shard monitor fed only epoch 1.
+        let reference = StreamMonitor::new(cfg).unwrap();
+        reference.ingest_batch(&BatchSequencer::new().seal(Timestamp::new(600), epoch1));
+        assert_eq!(r.ingested(), reference.ingested());
+        assert_eq!(r.shard_ingested(), reference.shard_ingested());
+        assert_eq!(r.state_version(), reference.state_version());
+        let t = Timestamp::new(600);
+        assert_eq!(r.live_view().frame(t), reference.live_view().frame(t));
+        assert_eq!(r.sealed_epoch(), Some(1));
+        std::fs::remove_dir_all(&live).ok();
+        std::fs::remove_dir_all(&torn).ok();
+    }
+
+    #[test]
+    fn wal_family_round_trips_across_shards() {
+        use batchlens_trace::wal::WalConfig;
+        use batchlens_trace::{JobId, TaskId};
+        let dir = temp_wal_dir("family");
+        let m = four_shards();
+        m.attach_wal_family(&dir, WalConfig::default()).unwrap();
+        for i in 0..80u32 {
+            m.ingest(rec(
+                i % 7,
+                i64::from(i / 7) * 60,
+                if i % 13 == 12 { 0.97 } else { 0.4 },
+                0.3,
+                0.3,
+            ));
+        }
+        m.instance_started(
+            JobId::new(1),
+            TaskId::new(1),
+            0,
+            MachineId::new(3),
+            Timestamp::new(30),
+        );
+        m.instance_finished(JobId::new(1), TaskId::new(1), 0, Timestamp::new(300));
+        assert_eq!(m.wal_errors(), 0);
+        assert!(m.wal_healthy());
+        assert_eq!(m.shard_wal_errors(), vec![0, 0, 0, 0]);
+        assert_eq!(m.wal_dir(), Some(dir.clone()));
+        drop(m.detach_wal());
+        assert!(!m.wal_attached());
+        for i in 0..4 {
+            assert!(m.shard_wal_dir(&dir, i).is_dir());
+        }
+
+        let (r, report) = StreamMonitor::recover(&dir, *m.config()).unwrap();
+        assert!(report.reason.is_clean());
+        // Non-batch workload: no epoch frontier, full per-shard replay of
+        // 80 usage records, one start, and the finish broadcast to 4 logs.
+        assert_eq!(report.records_replayed, 85);
+        assert_eq!(r.ingested(), m.ingested());
+        assert_eq!(r.live_instances(), m.live_instances());
+        assert_eq!(r.state_version(), m.state_version());
+        assert_eq!(r.total_alerts(), m.total_alerts());
+        let t = Timestamp::new(400);
+        assert_eq!(r.live_view().frame(t), m.live_view().frame(t));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -146,10 +146,10 @@ fn readyz(ctx: &RouterContext<'_>) -> Response {
         let _ = lens.view().extent();
     }))
     .is_ok();
-    // Readiness is all-or-nothing across shards: a sharded source is
-    // healthy only while *every* shard's WAL is — one lossy shard log
-    // means recovery can no longer reproduce the full state.
-    let wal_healthy = lens.live_source().is_none_or(|s| s.wal_healthy());
+    // Readiness is all-or-nothing across shards: a monitor is healthy only
+    // while *every* shard's WAL is — one lossy shard log means recovery can
+    // no longer reproduce the full state.
+    let wal_healthy = lens.live_monitor().is_none_or(|m| m.wal_healthy());
     let degraded = ctx.manager.degraded();
     let ready = responsive && wal_healthy && !degraded;
     let body = format!(

@@ -111,16 +111,19 @@ impl ServeStats {
             degraded: manager.degraded(),
             stale_served: manager.stale_served_total(),
             sessions_evicted: manager.evicted_total(),
-            live: manager.lens().live_source().is_some(),
-            wal_healthy: manager.lens().live_source().is_none_or(|s| s.wal_healthy()),
+            live: manager.lens().live_monitor().is_some(),
+            wal_healthy: manager
+                .lens()
+                .live_monitor()
+                .is_none_or(|m| m.wal_healthy()),
             shard_wal_errors: manager
                 .lens()
-                .live_source()
-                .map_or_else(Vec::new, |s| s.shard_wal_errors()),
+                .live_monitor()
+                .map_or_else(Vec::new, |m| m.shard_wal_errors()),
             shard_ingested: manager
                 .lens()
-                .live_source()
-                .map_or_else(Vec::new, |s| s.shard_ingested()),
+                .live_monitor()
+                .map_or_else(Vec::new, |m| m.shard_ingested()),
             worker_pool: WorkerPoolStats {
                 workers,
                 queue_depth: self.queue_depth(),
@@ -191,19 +194,19 @@ pub struct StatszPayload {
     pub stale_served: u64,
     /// Idle sessions evicted by the TTL sweep.
     pub sessions_evicted: u64,
-    /// Whether the lens is live-monitor-backed (single or sharded).
+    /// Whether the lens is live-monitor-backed.
     pub live: bool,
     /// Whether **every** attached WAL is healthy. `false` as soon as any
     /// shard's log has a failed append — mirrored by `/readyz` going 503.
-    /// Vacuously `true` without a live source.
+    /// Vacuously `true` without a live monitor.
     pub wal_healthy: bool,
     /// Failed WAL appends per shard, indexed by shard id. One entry for a
-    /// single (unsharded) monitor; empty without a live source. A nonzero
-    /// entry pinpoints *which* shard's log is lossy.
+    /// one-shard monitor; empty without a live monitor. A nonzero entry
+    /// pinpoints *which* shard's log is lossy.
     pub shard_wal_errors: Vec<u64>,
     /// Records ingested per shard, indexed by shard id — the routing
     /// balance observability for sharded ingestion. One entry for a
-    /// single monitor; empty without a live source.
+    /// one-shard monitor; empty without a live monitor.
     pub shard_ingested: Vec<u64>,
     /// Worker-pool depth observability.
     pub worker_pool: WorkerPoolStats,

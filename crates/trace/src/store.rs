@@ -1181,9 +1181,8 @@ fn dataset_usage_rows(ds: &TraceDataset) -> Vec<ServerUsageRecord> {
     rows
 }
 
-/// Dumps a built dataset into `dir` as columnar segments — the
-/// segment-backed payload `batchlens::durability` adds next to the
-/// canonical CSVs. Re-opening via [`TraceDataset::open`] rebuilds the
+/// Dumps a built dataset into `dir` as columnar segments — the dataset
+/// payload of a `batchlens::durability` dump. Re-opening via [`TraceDataset::open`] rebuilds the
 /// dataset **bit-identically** (the store round-trips every f64 raw).
 pub fn dump_dataset(dir: &Path, ds: &TraceDataset) -> Result<StoreReport, TraceError> {
     dump_dataset_with(dir, ds, StoreConfig::default())

@@ -129,10 +129,16 @@ proptest! {
     /// WAL replay of a batch-logged monitor is bit-identical to the
     /// pre-crash monitor *and* to a serial never-crashed monitor —
     /// `EpochSealed` markers replay as state no-ops, restoring only the
-    /// sealed-epoch frontier.
+    /// sealed-epoch frontier. The last `tail` deliveries arrive
+    /// record-at-a-time after the last sealed epoch: a one-shard log has no
+    /// peer to cut against, so recovery must replay them too.
     #[test]
-    fn batch_logged_wal_replays_bit_identically(input in deliveries_strategy()) {
+    fn batch_logged_wal_replays_bit_identically(
+        input in deliveries_strategy(),
+        tail in 0usize..20,
+    ) {
         let (deliveries, chunk) = input;
+        let (epochs, singles) = deliveries.split_at(deliveries.len().saturating_sub(tail));
         use batchlens::trace::wal::{WalConfig, WalWriter};
         use std::sync::atomic::{AtomicU64, Ordering};
         static DIR_ID: AtomicU64 = AtomicU64::new(0);
@@ -148,7 +154,7 @@ proptest! {
         batched.attach_wal(WalWriter::open(&dir, WalConfig::default()).unwrap());
         let serial = StreamMonitor::new(cfg()).unwrap();
         let mut last_version = None;
-        for part in deliveries.chunks(chunk) {
+        for part in epochs.chunks(chunk) {
             let batch = sequencer.seal(
                 part.last().map_or(Timestamp::new(0), |r| r.time),
                 part.to_vec(),
@@ -158,6 +164,10 @@ proptest! {
                 serial.ingest(rec);
             }
             last_version = Some(batch.version);
+        }
+        for &rec in singles {
+            batched.ingest(rec);
+            serial.ingest(rec);
         }
         prop_assert_eq!(batched.wal_errors(), 0);
         drop(batched.detach_wal());

@@ -1,19 +1,16 @@
-//! Differential proptests for the sharded ingestion facade: a
-//! [`ShardedMonitor`] fed a delivery sequence — mixed record-at-a-time and
-//! sealed batch epochs, with stragglers and out-of-order arrivals — must be
-//! **bit-identical** to a single [`StreamMonitor`] fed the same records one
-//! at a time, on every [`DatasetQuery`] method, on transactional frames, on
-//! every counter, and on the global alert sequence (values *and* sequence
-//! numbers).
+//! Differential proptests for sharded ingestion: shards {1, 4} of one
+//! [`StreamMonitor`]. A 4-shard monitor fed a delivery sequence — mixed
+//! record-at-a-time and sealed batch epochs, with stragglers and
+//! out-of-order arrivals — must be **bit-identical** to a 1-shard monitor
+//! fed the same records one at a time, on every [`DatasetQuery`] method, on
+//! transactional frames, on every counter, and on the global alert sequence
+//! (values *and* sequence numbers).
 //!
-//! Each case runs the comparison at shard counts {1, 4} × worker-pool
-//! widths {1, 8}: shard count must never change an answer, and neither may
-//! the parallelism of the epoch fan-out. CI additionally re-runs the whole
-//! suite under `BATCHLENS_THREADS={1,8}` for the pool-default paths.
+//! Each case runs the comparison at worker-pool widths {1, 8}: shard count
+//! must never change an answer, and neither may the parallelism of the
+//! epoch fan-out. CI additionally re-runs the whole suite under
+//! `BATCHLENS_THREADS={1,8}` for the pool-default paths.
 
-use std::collections::BTreeSet;
-
-use batchlens::shard::ShardedMonitor;
 use batchlens::stream::{Alert, BatchSequencer, StreamConfig, StreamMonitor};
 use batchlens::trace::{
     BatchInstanceRecord, DatasetQuery, JobId, MachineEvent, MachineEventRecord, MachineId, Metric,
@@ -112,14 +109,15 @@ fn soup_strategy() -> impl Strategy<Value = Soup> {
         })
 }
 
-/// Feeds the soup identically into `single` (every record one at a time)
-/// and `sharded` (even chunks one at a time, odd chunks as sealed batch
-/// epochs), interleaving structural records between chunks, and asserts the
-/// fired alert streams bit-identical as they happen. Returns all alerts.
+/// Feeds the soup identically into the 1-shard `single` (every record one
+/// at a time) and `sharded` (even chunks one at a time, odd chunks as
+/// sealed batch epochs), interleaving structural records between chunks,
+/// and asserts the fired alert streams bit-identical as they happen.
+/// Returns all alerts.
 fn feed(
     soup: &Soup,
     single: &StreamMonitor,
-    sharded: &ShardedMonitor,
+    sharded: &StreamMonitor,
 ) -> Result<Vec<Alert>, TestCaseError> {
     let sequencer = BatchSequencer::new();
     let mut fired = Vec::new();
@@ -176,9 +174,20 @@ fn probes() -> impl Iterator<Item = Timestamp> {
         .map(Timestamp::new)
 }
 
+/// A monitor of `shards` shards over the suite's configuration.
+fn sharded_cfg(shards: usize, alert_capacity: usize) -> StreamConfig {
+    StreamConfig {
+        horizon: TimeDelta::hours(100),
+        ooo_tolerance: TimeDelta::seconds(TOLERANCE_S),
+        alert_capacity,
+        shards,
+        ..Default::default()
+    }
+}
+
 fn assert_surfaces_equal(
     single: &StreamMonitor,
-    sharded: &ShardedMonitor,
+    sharded: &StreamMonitor,
 ) -> Result<(), TestCaseError> {
     // Merged counters.
     prop_assert_eq!(sharded.ingested(), single.ingested());
@@ -195,15 +204,15 @@ fn assert_surfaces_equal(
     prop_assert_eq!(sharded.total_alerts(), single.total_alerts());
     prop_assert_eq!(sharded.alerts_len(), single.alerts_len());
     prop_assert_eq!(sharded.alerts_overflowed(), single.alerts_overflowed());
-    use batchlens::stream::AlertSource;
     prop_assert_eq!(sharded.next_alert_seq(), single.next_alert_seq());
-    let a = AlertSource::alerts_since(single, 0);
-    let b = AlertSource::alerts_since(sharded, 0);
+    let a = single.alerts_since(0);
+    let b = sharded.alerts_since(0);
     prop_assert_eq!(a.alerts, b.alerts);
     prop_assert_eq!(a.next_seq, b.next_seq);
     prop_assert_eq!(a.missed, b.missed);
 
     let live = single.live_view();
+    let sharded = sharded.live_view();
     prop_assert_eq!(sharded.machine_ids(), live.machine_ids());
     for t in probes() {
         prop_assert_eq!(
@@ -277,41 +286,33 @@ fn assert_surfaces_equal(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The headline contract: at shard counts {1, 4} × pool widths {1, 8},
-    /// the sharded facade is bit-identical to the single monitor on every
-    /// query, frame, counter and alert — with stragglers, out-of-order
-    /// arrivals and mixed single/batch epochs interleaved.
+    /// The headline contract: at pool widths {1, 8}, a 4-shard monitor is
+    /// bit-identical to a 1-shard one on every query, frame, counter and
+    /// alert — with stragglers, out-of-order arrivals and mixed
+    /// single/batch epochs interleaved.
     #[test]
     fn sharded_facade_equals_single_monitor(soup in soup_strategy()) {
-        let cfg = StreamConfig {
-            horizon: TimeDelta::hours(100),
-            ooo_tolerance: TimeDelta::seconds(TOLERANCE_S),
-            ..Default::default()
-        };
-        for shards in [1usize, 4] {
-            for threads in [1usize, 8] {
-                let single = StreamMonitor::new(cfg).unwrap();
-                let sharded = ShardedMonitor::new(cfg, shards)
-                    .unwrap()
-                    .with_threads(threads);
-                feed(&soup, &single, &sharded)?;
-                assert_surfaces_equal(&single, &sharded)?;
-            }
+        let capacity = StreamConfig::default().alert_capacity;
+        for threads in [1usize, 8] {
+            let single = StreamMonitor::new(sharded_cfg(1, capacity)).unwrap();
+            let sharded = StreamMonitor::new(sharded_cfg(4, capacity))
+                .unwrap()
+                .with_threads(threads);
+            feed(&soup, &single, &sharded)?;
+            assert_surfaces_equal(&single, &sharded)?;
         }
     }
 
-    /// Draining mid-feed preserves parity: the facade drains shard rings
-    /// and its global ring in one sweep, returning exactly what the single
-    /// monitor's drain returns, and both resume identically afterwards.
+    /// Draining mid-feed preserves parity: a 4-shard monitor drains its
+    /// shard rings and its global ring in one sweep, returning exactly what
+    /// the 1-shard drain returns, and both resume identically afterwards.
     #[test]
     fn drains_interleave_without_divergence(soup in soup_strategy()) {
-        let cfg = StreamConfig {
-            horizon: TimeDelta::hours(100),
-            ooo_tolerance: TimeDelta::seconds(TOLERANCE_S),
-            ..Default::default()
-        };
-        let single = StreamMonitor::new(cfg).unwrap();
-        let sharded = ShardedMonitor::new(cfg, 4).unwrap().with_threads(2);
+        let capacity = StreamConfig::default().alert_capacity;
+        let single = StreamMonitor::new(sharded_cfg(1, capacity)).unwrap();
+        let sharded = StreamMonitor::new(sharded_cfg(4, capacity))
+            .unwrap()
+            .with_threads(2);
         let halfway = soup.usage_deliveries.len() / 2;
         for (i, &rec) in soup.usage_deliveries.iter().enumerate() {
             let a = single.ingest(rec);
@@ -332,14 +333,10 @@ proptest! {
     /// observe identical gaps either way.
     #[test]
     fn alert_overflow_is_identical(soup in soup_strategy()) {
-        let cfg = StreamConfig {
-            horizon: TimeDelta::hours(100),
-            ooo_tolerance: TimeDelta::seconds(TOLERANCE_S),
-            alert_capacity: 3,
-            ..Default::default()
-        };
-        let single = StreamMonitor::new(cfg).unwrap();
-        let sharded = ShardedMonitor::new(cfg, 4).unwrap().with_threads(2);
+        let single = StreamMonitor::new(sharded_cfg(1, 3)).unwrap();
+        let sharded = StreamMonitor::new(sharded_cfg(4, 3))
+            .unwrap()
+            .with_threads(2);
         feed(&soup, &single, &sharded)?;
         prop_assert_eq!(sharded.peek_alerts(), single.peek_alerts());
         prop_assert_eq!(sharded.alerts_overflowed(), single.alerts_overflowed());
@@ -358,7 +355,7 @@ fn cross_shard_stragglers_stay_shard_local() {
         ..Default::default()
     };
     let single = StreamMonitor::new(cfg).unwrap();
-    let sharded = ShardedMonitor::new(cfg, 4).unwrap();
+    let sharded = StreamMonitor::new(StreamConfig { shards: 4, ..cfg }).unwrap();
     let rec = |machine: u32, t: i64| ServerUsageRecord {
         time: Timestamp::new(t),
         machine: MachineId::new(machine),
@@ -380,29 +377,33 @@ fn cross_shard_stragglers_stay_shard_local() {
     assert_eq!(sharded.ingested(), 4);
 }
 
-/// Machine-set partition sanity: every machine the facade reports belongs
-/// to exactly one shard, and the union over shards is the whole universe.
+/// Machine-set partition sanity: every machine lands in exactly its owning
+/// shard, and the union over shards is the whole universe.
 #[test]
 fn shards_partition_the_machine_universe() {
-    let sharded = ShardedMonitor::new(StreamConfig::default(), 4).unwrap();
+    let sharded = StreamMonitor::new(StreamConfig {
+        shards: 4,
+        ..Default::default()
+    })
+    .unwrap();
+    let mut expected = vec![0u64; sharded.shard_count()];
     for machine in 0..64u32 {
         sharded.ingest(ServerUsageRecord {
             time: Timestamp::new(0),
             machine: MachineId::new(machine),
             util: UtilizationTriple::clamped(0.4, 0.3, 0.3),
         });
+        expected[sharded.shard_of(MachineId::new(machine))] += 1;
     }
-    let mut union = BTreeSet::new();
-    let mut total = 0usize;
-    for i in 0..sharded.shard_count() {
-        let ids = sharded.shard(i).live_view().machine_ids();
-        total += ids.len();
-        for id in &ids {
-            assert_eq!(sharded.shard_of(*id), i, "machine in its owning shard");
-        }
-        union.extend(ids);
-    }
-    assert_eq!(total, 64, "no machine in two shards");
-    assert_eq!(union.len(), 64);
-    assert_eq!(sharded.machine_ids(), union.into_iter().collect::<Vec<_>>());
+    assert_eq!(
+        sharded.shard_ingested(),
+        expected,
+        "each machine's record lands in its owning shard"
+    );
+    assert!(expected.iter().all(|&n| n > 0), "64 ids cover all 4 shards");
+    assert_eq!(sharded.tracked_machines(), 64, "no machine in two shards");
+    assert_eq!(
+        sharded.live_view().machine_ids(),
+        (0..64).map(MachineId::new).collect::<Vec<_>>()
+    );
 }

@@ -1,11 +1,10 @@
-//! Serving-layer health integration for sharded monitors: one shard's WAL
+//! Serving-layer health integration for N-shard monitors: one shard's WAL
 //! going unhealthy must flip `/readyz` to `503` and show up as that
 //! shard's `wal_errors` entry in `/statsz` — the server never reports
 //! ready while *any* shard's log is lossy.
 
 use std::sync::Arc;
 
-use batchlens::shard::ShardedMonitor;
 use batchlens::sim::scenario;
 use batchlens::stream::{StreamConfig, StreamMonitor};
 use batchlens::trace::wal::{WalConfig, WalWriter};
@@ -45,6 +44,14 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+fn four_shards() -> StreamMonitor {
+    StreamMonitor::new(StreamConfig {
+        shards: 4,
+        ..Default::default()
+    })
+    .unwrap()
+}
+
 fn statsz(ctx: &RouterContext<'_>) -> StatszPayload {
     let resp = route(ctx, &get("/statsz"));
     assert_eq!(resp.status, 200);
@@ -58,12 +65,12 @@ fn one_unhealthy_shard_wal_degrades_readiness() {
     let _g = batchlens_fault::test_guard();
     let dir = temp_dir("degrade");
     let dataset = scenario::fig3b(17).run().unwrap();
-    let monitor = Arc::new(ShardedMonitor::new(StreamConfig::default(), 4).unwrap());
+    let monitor = Arc::new(four_shards());
     monitor
         .attach_wal_family(&dir, WalConfig::default())
         .unwrap();
     let mut lens = BatchLens::new(dataset);
-    lens.attach_sharded_monitor(Arc::clone(&monitor));
+    lens.attach_live_monitor(Arc::clone(&monitor));
     let manager = SessionManager::new(Arc::new(lens));
     let stats = ServeStats::new();
     let ctx = RouterContext {
@@ -116,8 +123,8 @@ fn one_unhealthy_shard_wal_degrades_readiness() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The single-monitor path reports the same shape: one-entry shard vectors
-/// and the same readiness gate (no regression from the LiveSource switch).
+/// A one-shard monitor reports the same shape: one-entry shard vectors and
+/// the same readiness gate.
 #[test]
 fn single_monitor_health_keeps_the_same_gate() {
     let _g = batchlens_fault::test_guard();
@@ -157,14 +164,14 @@ fn single_monitor_health_keeps_the_same_gate() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Alert cursors served over a sharded facade: a session's poll drains the
-/// same global sequence a single monitor would produce.
+/// Alert cursors served over a 4-shard monitor: a session's poll drains the
+/// same contiguous global sequence a 1-shard monitor would produce.
 #[test]
 fn sessions_poll_alerts_from_the_sharded_facade() {
     let dataset = scenario::fig3b(19).run().unwrap();
-    let monitor = Arc::new(ShardedMonitor::new(StreamConfig::default(), 4).unwrap());
+    let monitor = Arc::new(four_shards());
     let mut lens = BatchLens::new(dataset);
-    lens.attach_sharded_monitor(Arc::clone(&monitor));
+    lens.attach_live_monitor(Arc::clone(&monitor));
     let manager = SessionManager::new(Arc::new(lens));
     let created = manager.create();
 
@@ -176,7 +183,6 @@ fn sessions_poll_alerts_from_the_sharded_facade() {
             util: UtilizationTriple::clamped(0.95, 0.3, 0.3),
         });
     }
-    use batchlens::stream::AlertSource;
     let fired = monitor.next_alert_seq();
     assert!(fired > 0, "scenario must fire alerts");
     let poll = manager.poll_alerts(created.session).unwrap();

@@ -11,8 +11,8 @@
 //! reported `[offset, offset+len)` region *contains* the flipped byte —
 //! never a panic, never a silently different dataset. A third covers the
 //! durability integration: `dump`/`restore` of a lens rides the segment
-//! payload (CSV vandalism does not change the outcome) and still falls
-//! back to CSV when the payload is gone.
+//! payload, the only dataset payload a dump carries, and a dump without it
+//! restores to a typed error.
 
 use std::fs;
 use std::path::PathBuf;
@@ -332,9 +332,8 @@ proptest! {
     }
 
     /// Durability integration: a dumped lens restores from the segment
-    /// payload bit-identically even when every CSV table has been
-    /// vandalized (proving the segments are what restore reads), and still
-    /// restores from the CSVs when the segment payload is removed.
+    /// payload bit-identically, and with the payload removed the restore is
+    /// a typed error.
     #[test]
     fn lens_dump_restore_rides_the_segment_payload(
         instances in prop::collection::vec(instance_strategy(), 1..24),
@@ -347,21 +346,17 @@ proptest! {
         let report = durability::dump(&dir, &lens, None).expect("dump");
         prop_assert!(report.segments > 0, "the dump writes a segment payload");
 
-        // Vandalize every CSV: a restore that parsed them would fail, so a
-        // successful identical restore proves the segment path is taken.
-        for table in ["batch_task", "batch_instance", "server_usage", "machine_events"] {
-            let path = dir.join(format!("{table}.csv"));
-            prop_assert!(path.exists(), "{table}.csv missing from the dump");
-            fs::write(&path, "not,a,valid,row\n").expect("vandalize csv");
-        }
         let restored = durability::restore(&dir).expect("segment-backed restore");
         prop_assert_eq!(restored.lens.dataset(), lens.dataset());
         assert_query_surface_identical(restored.lens.dataset(), lens.dataset())?;
 
-        // Remove the payload: restore now depends on the CSVs, which are
-        // vandalized — the failure must be a typed error, not a panic.
+        // Remove the payload: the failure must be a typed error, not a
+        // panic.
         fs::remove_dir_all(dir.join("dataset")).expect("drop segment payload");
-        prop_assert!(durability::restore(&dir).is_err());
+        prop_assert!(matches!(
+            durability::restore(&dir),
+            Err(durability::RestoreError::Trace(_))
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 }
